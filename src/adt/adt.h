@@ -76,6 +76,11 @@ inline constexpr OpId kNoOp = static_cast<OpId>(-1);
 /// One local operation of an ADT.
 struct OpDescriptor {
   std::string name;
+  /// Contract: when set, `apply` must leave the state unchanged (it only
+  /// computes rho_a).  The runtime relies on it in three places: the
+  /// journal fold and the abort rebuild retire read-only entries without
+  /// applying them, and GEMSTONE runs read-only steps under a shared lock.
+  /// tests/adt_commutativity_test.cc checks it for every shipped spec.
   bool read_only = false;
   /// sigma_a and rho_a fused: mutates `state`, returns rho plus undo.
   /// Must be deterministic.  Thread safety: callers serialise applications

@@ -300,8 +300,8 @@ TxnResult Executor::RunTransaction(const std::string& name, MethodFn body) {
     result.attempts = attempt;
     if (r.committed) return result;
     stats_.retries.fetch_add(1);
-    // Exponential-ish backoff with a deterministic per-attempt jitter so
-    // colliding transactions de-synchronise.
+    // Quadratic backoff: a deterministic 20·a² µs (capped at 1 ms) after
+    // attempt a, with no jitter — colliding retries sleep the same amount.
     if (attempt < options_.max_top_retries) {
       int us = std::min(20 * attempt * attempt, 1000);
       std::this_thread::sleep_for(std::chrono::microseconds(us));

@@ -9,11 +9,6 @@ std::atomic<uint64_t>& JournalMutexAcquisitions() {
   return acquisitions;
 }
 
-std::atomic<uint64_t>& JournalKinChainWalks() {
-  static std::atomic<uint64_t> walks{0};
-  return walks;
-}
-
 bool AppliedJournal::Entry::IncomparableWith(
     const std::vector<uint64_t>& other_chain) const {
   // O(1) kin test via the packed ancestor stamps every entry already
@@ -21,8 +16,8 @@ bool AppliedJournal::Entry::IncomparableWith(
   // overwhelmingly common case — different top-level transactions — is a
   // single compare; the conflict scans call this per candidate entry, so
   // the old two-sided std::find walk was O(depth) on the hottest loop of
-  // the optimistic protocols (kept as IncomparableWithChainWalk, pinned
-  // unused on the step path by JournalKinChainWalks()).
+  // the optimistic protocols (it survives as the reference in
+  // tests/contention_policy_test.cc).
   if (other_chain.empty()) return true;
   if (top_uid != other_chain.back()) return true;
   // Same top: comparable iff the shallower execution is an ancestor of (or
@@ -35,22 +30,6 @@ bool AppliedJournal::Entry::IncomparableWith(
     return other_chain[theirs - mine] != exec_uid;
   }
   return (*chain)[mine - theirs] != other_chain.front();
-}
-
-bool AppliedJournal::Entry::IncomparableWithChainWalk(
-    const std::vector<uint64_t>& other_chain) const {
-  JournalKinChainWalks().fetch_add(1, std::memory_order_relaxed);
-  // Comparable iff one execution's uid appears in the other's chain.
-  if (std::find(other_chain.begin(), other_chain.end(), exec_uid) !=
-      other_chain.end()) {
-    return false;
-  }
-  if (!other_chain.empty() &&
-      std::find(chain->begin(), chain->end(), other_chain.front()) !=
-          chain->end()) {
-    return false;
-  }
-  return true;
 }
 
 AppliedJournal::AppliedJournal(size_t num_ops)

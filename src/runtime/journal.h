@@ -67,12 +67,6 @@ namespace objectbase::rt {
 /// the NTO/CERT protocol tests.
 std::atomic<uint64_t>& JournalMutexAcquisitions();
 
-/// Process-wide count of O(depth) ancestor-chain walks taken by the kin
-/// test (Entry::IncomparableWithChainWalk).  The conflict scans use the
-/// O(1) packed-stamp test, so tests pin this to ZERO on the step path; the
-/// walk survives only as the differential-test reference.
-std::atomic<uint64_t>& JournalKinChainWalks();
-
 /// One applied step, built by the protocol and moved into the journal.
 /// (The in-place Entry adds the publication/abort atomics.)
 struct JournalRecord {
@@ -121,12 +115,6 @@ class AppliedJournal {
     /// with one compare in the cross-top case and one indexed probe within
     /// a top — no chain walk on the conflict-scan path.
     bool IncomparableWith(const std::vector<uint64_t>& other_chain) const;
-
-    /// The pre-PR-8 O(depth) reference implementation (two std::find
-    /// walks).  Kept for the differential pin test; every call bumps
-    /// JournalKinChainWalks().
-    bool IncomparableWithChainWalk(
-        const std::vector<uint64_t>& other_chain) const;
   };
 
   explicit AppliedJournal(size_t num_ops);

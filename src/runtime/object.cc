@@ -77,11 +77,14 @@ void Object::AbortEntriesAndRebuild(
   // Rebuild: base + surviving journal entries in application order,
   // excluding entries of doomed transactions — a survivor whose outcome
   // depended on the excised prefix is always doomed by the pass above, and
-  // re-applying it would not reproduce its recorded step.
+  // re-applying it would not reproduce its recorded step.  Read-only
+  // entries are skipped: their apply leaves the state unchanged (the
+  // OpDescriptor::read_only contract).
   auto rebuilt = base_state_->Clone();
   journal_->ReplayLive([&](const AppliedJournal::Entry& e) {
-    if (exclude_dep && exclude_dep(e.dep)) return;
-    spec_->OpAt(e.op_id).apply(*rebuilt, e.args);
+    const adt::OpDescriptor& op = spec_->OpAt(e.op_id);
+    if (op.read_only || (exclude_dep && exclude_dep(e.dep))) return;
+    op.apply(*rebuilt, e.args);
   });
   state_ = std::move(rebuilt);
 }
@@ -99,10 +102,13 @@ void Object::SealRecoveredState() {
 
 size_t Object::FoldPrefix(uint64_t watermark, size_t rearm_base) {
   std::lock_guard<std::shared_mutex> guard(state_mu_);
+  // Folded read-only entries are retired without being applied: they
+  // cannot change the base state (the OpDescriptor::read_only contract).
   return journal_->Fold(
       watermark,
       [&](const AppliedJournal::Entry& e) {
-        spec_->OpAt(e.op_id).apply(*base_state_, e.args);
+        const adt::OpDescriptor& op = spec_->OpAt(e.op_id);
+        if (!op.read_only) op.apply(*base_state_, e.args);
       },
       rearm_base);
 }

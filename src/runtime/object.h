@@ -142,7 +142,8 @@ class Object {
   /// doom cascade; called under state_mu AFTER marking, which makes it
   /// atomic against concurrent steps on this object) and `exclude_dep`
   /// (true for entries of doomed transactions — they can never commit, and
-  /// their own aborts mark these entries for good).
+  /// their own aborts mark these entries for good).  Read-only entries are
+  /// never re-applied: they cannot change the state.
   void AbortEntriesAndRebuild(
       uint64_t subtree_root_uid, const std::function<void()>& doom_dependents,
       const std::function<bool(uint64_t dep_raw)>& exclude_dep);
@@ -150,8 +151,9 @@ class Object {
   /// Folds the maximal journal prefix whose top-level serial number is
   /// below `watermark` (every such transaction has finished) into the base
   /// state and retires it — Section 5.2's "mechanism to forget".  Takes
-  /// state_mu exclusive (plus the journal's counted fold_mu).  Returns
-  /// entries folded.
+  /// state_mu exclusive (plus the journal's counted fold_mu).  Only
+  /// state-changing entries are applied to the base; read-only ones are
+  /// retired without an apply.  Returns entries folded (read-only included).
   /// `rearm_base` != 0 arms the journal's adaptive fold cadence (see
   /// AppliedJournal::Fold); controllers pass their fold threshold.
   size_t FoldPrefix(uint64_t watermark, size_t rearm_base = 0);

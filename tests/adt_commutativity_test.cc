@@ -187,5 +187,47 @@ INSTANTIATE_TEST_SUITE_P(AllAdts, OpDominatesStepTest,
                            return Cases()[info.param].name;
                          });
 
+// The OpDescriptor::read_only contract: applying a read-only operation
+// leaves the state unchanged.  The journal fold and the abort rebuild
+// retire read-only entries without applying them, and GEMSTONE grants
+// read-only steps a shared lock; both are unsound for an op that breaks it.
+class ReadOnlyTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ReadOnlyTest, ApplyLeavesStateUnchanged) {
+  AdtCase c = Cases()[GetParam()];
+  auto spec = c.make_spec();
+  Rng rng(0xF01D + GetParam());
+  auto op_names = spec->OpNames();
+  std::vector<const OpDescriptor*> reads;
+  for (std::string_view name : op_names) {
+    const OpDescriptor* op = spec->FindOp(name);
+    if (op->read_only) reads.push_back(op);
+  }
+  ASSERT_FALSE(reads.empty()) << c.name << " has no read-only operation";
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto state = spec->MakeInitialState();
+    int warm = static_cast<int>(rng.Uniform(c.warmup_ops + 1));
+    for (int i = 0; i < warm; ++i) {
+      std::string_view op = op_names[rng.Uniform(op_names.size())];
+      spec->FindOp(op)->apply(*state, c.make_args(op, rng));
+    }
+    const OpDescriptor& op = *reads[rng.Uniform(reads.size())];
+    Args args = c.make_args(op.name, rng);
+    auto before = state->Clone();
+    op.apply(*state, args);
+    EXPECT_TRUE(state->Equals(*before))
+        << c.name << ": read-only " << op.name << ArgsToString(args)
+        << " changed " << before->ToString() << " into "
+        << state->ToString();
+    if (HasFailure()) break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAdts, ReadOnlyTest,
+                         ::testing::Range<size_t>(0, 8),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return Cases()[info.param].name;
+                         });
+
 }  // namespace
 }  // namespace objectbase::adt
