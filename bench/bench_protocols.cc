@@ -325,25 +325,23 @@ int main(int argc, char** argv) {
 
   // --- E2: durability knob ------------------------------------------------
   //
-  // The write-ahead log's cost ladder: no-sync (the PR-5 baseline — the
-  // WAL object is never even created), group commit (concurrent committers
-  // share one fsync per accumulation window), per-commit sync (every
-  // commit pays its own fsync).  The claim group commit buys back is that
-  // durable throughput stays within a small factor of no-sync under
-  // concurrency, while per-commit collapses to the fsync rate.
+  // The write-ahead log's cost: no-sync (the PR-5 baseline — the WAL
+  // object is never even created) against pipelined group commit (the
+  // writer syncs as soon as a commit is staged; commits staged during an
+  // fsync share the next one).  The claim is that durable throughput
+  // scales with threads as committers share syncs.
   }
 
   if (want("e2")) {
   bench::Banner("E2: durability knob",
-                "no-sync vs group-commit vs per-commit sync across "
+                "no-sync vs pipelined group commit across "
                 "protocols (write-ahead log, docs/durability.md)");
   TablePrinter dur({"protocol", "durability", "threads", "tput/s",
                     "abort-ratio", "syncs", "p99-ms"});
   for (rt::Protocol protocol :
        {rt::Protocol::kNto, rt::Protocol::kCert, rt::Protocol::kN2pl}) {
     for (rt::Durability durability :
-         {rt::Durability::kNone, rt::Durability::kGroup,
-          rt::Durability::kPerCommit}) {
+         {rt::Durability::kNone, rt::Durability::kGroup}) {
       for (int threads : {1, 4, 8}) {
         workload::BankingParams p;
         p.accounts = 16;
@@ -398,10 +396,7 @@ int main(int argc, char** argv) {
   std::printf("Expected shape: durable rows are commit-LATENCY bound (acks "
               "gate on fsync), so\nthey trail no-sync but scale with "
               "threads as committers share syncs — watch\nsyncs/commit "
-              "fall as threads grow.  The group window buys deeper "
-              "batching at a\nfixed latency cost; on devices with cheap "
-              "sync (VM write caches), per-commit's\nnatural "
-              "sync-in-flight batching can already match it.\n");
+              "fall as threads grow.\n");
 
   // --- E2b: recovery time vs journal length -------------------------------
   //

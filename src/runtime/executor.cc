@@ -130,9 +130,8 @@ Executor::Executor(ObjectBase& base, ExecutorOptions options)
         // Per-shard logs (shard 0 keeps the configured path, so shards=1
         // stays file-compatible).  Attach AFTER ShareWaitsForGraph: MIXED
         // routes durability waits into its manager's CURRENT graph.
-        shard_wals_.push_back(std::make_unique<WalWriter>(WalOptions{
-            ShardWalPath(options_.wal_path, s), options_.durability,
-            options_.wal_group_window_us, /*ring_capacity=*/size_t{1} << 14}));
+        shard_wals_.push_back(std::make_unique<WalWriter>(
+            WalOptions{ShardWalPath(options_.wal_path, s)}));
         b.controller->AttachWal(shard_wals_.back().get());
         sh.wal = shard_wals_.back().get();
       }
@@ -152,9 +151,7 @@ Executor::Executor(ObjectBase& base, ExecutorOptions options)
     lock_manager_ = b.locks;
     controller_ = std::move(b.controller);
     if (durable) {
-      wal_ = std::make_unique<WalWriter>(WalOptions{
-          options_.wal_path, options_.durability, options_.wal_group_window_us,
-          /*ring_capacity=*/size_t{1} << 14});
+      wal_ = std::make_unique<WalWriter>(WalOptions{options_.wal_path});
       controller_->AttachWal(wal_.get());
     }
   }

@@ -95,17 +95,17 @@ struct ExecutorOptions {
   /// back off and retry (kBackoff), or wound younger holders (kWoundWait).
   /// See cc::ContentionPolicy.
   cc::ContentionPolicy contention_policy = cc::ContentionPolicy::kDetect;
-  /// Write-ahead durability (docs/durability.md).  kGroup/kPerCommit
-  /// require `wal_path`; kNone creates no WAL at all — the step and commit
-  /// paths are byte-for-byte the PR-5 behaviour.
+  /// Write-ahead durability (docs/durability.md).  kGroup requires
+  /// `wal_path`: each commit is acked once the pipelined group sync covering
+  /// it returns — the writer syncs as soon as a commit is staged, and
+  /// commits staged during an fsync share the next one.  A log write or
+  /// fsync error aborts the process (fail-stop).  kNone creates no WAL at
+  /// all — the step and commit paths are byte-for-byte the PR-5 behaviour.
   Durability durability = Durability::kNone;
   /// Redo-log file, opened (TRUNCATED) at executor construction.  To
   /// recover a previous run's log, build the executor with a different
   /// path (or durability = kNone) and call Recover(old_path) first.
   std::string wal_path;
-  /// kGroup accumulation window (µs): commits arriving within the window
-  /// share one fsync (latency traded for sync amortisation).
-  uint32_t wal_group_window_us = 100;
 };
 
 class MethodCtx;

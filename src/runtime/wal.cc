@@ -6,8 +6,8 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,7 +21,6 @@ const char* DurabilityName(Durability d) {
   switch (d) {
     case Durability::kNone: return "none";
     case Durability::kGroup: return "group";
-    case Durability::kPerCommit: return "per_commit";
   }
   return "?";
 }
@@ -224,18 +223,35 @@ WalWriter::~WalWriter() {
 WalWriter::Slot& WalWriter::Claim(uint64_t* pos) {
   *pos = reserved_.fetch_add(1, std::memory_order_acq_rel);
   Slot& s = slots_[*pos & mask_];
-  // Ring-full backpressure: spin until the writer has retired the slot's
-  // previous lap.  The writer never blocks on transaction state, so it
-  // always makes progress.
-  for (int spins = 0; s.turn.load(std::memory_order_acquire) != *pos;
-       ++spins) {
-    if (spins > 128) std::this_thread::yield();
+  if (s.turn.load(std::memory_order_acquire) != *pos) {
+    // Ring full: the slot still holds its previous lap (position
+    // *pos - capacity).  Ask the writer to drain through it, then spin until
+    // it is retired.  Only a drain is requested — no fsync — so a
+    // transaction staging more redos than the ring holds cannot deadlock
+    // waiting for its own commit marker.
+    Request(drain_req_, *pos - mask_);
+    for (int spins = 0; s.turn.load(std::memory_order_acquire) != *pos;
+         ++spins) {
+      if (spins > 128) std::this_thread::yield();
+    }
   }
   return s;
 }
 
 void WalWriter::Publish(Slot& slot, uint64_t pos) {
   slot.turn.store(pos + 1, std::memory_order_release);
+}
+
+void WalWriter::Request(std::atomic<uint64_t>& req, uint64_t end) {
+  uint64_t cur = req.load(std::memory_order_relaxed);
+  while (cur < end) {
+    if (req.compare_exchange_weak(cur, end, std::memory_order_acq_rel,
+                                  std::memory_order_relaxed)) {
+      { std::lock_guard<std::mutex> g(writer_mu_); }
+      writer_cv_.notify_one();
+      return;
+    }
+  }
 }
 
 uint64_t WalWriter::StageRedo(
@@ -264,6 +280,7 @@ uint64_t WalWriter::StageCommit(uint64_t top_uid, uint64_t shard_mask) {
   s.top_uid = top_uid;
   s.order_key = shard_mask;  // see the header: mask rides order_key
   Publish(s, pos);
+  Request(sync_req_, pos + 1);
   return pos;
 }
 
@@ -279,6 +296,7 @@ uint64_t WalWriter::StageAbort(uint64_t subtree_root_uid) {
 void WalWriter::WaitDurable(uint64_t pos, cc::WaitsForGraph* wf,
                             uint64_t thread_key) {
   if (durable_.load(std::memory_order_acquire) > pos) return;
+  Request(sync_req_, pos + 1);
   bool declared = false;
   if (wf != nullptr) {
     // Declare the commit-wait like PR 5's certifier waits so composite
@@ -287,9 +305,6 @@ void WalWriter::WaitDurable(uint64_t pos, cc::WaitsForGraph* wf,
     declared = !wf->SetWaitingWouldDeadlock(
         thread_key, std::vector<uint64_t>{kWalPseudoHolderUid});
   }
-  // The writer parks on a timed wait, so a bare notify (no writer_mu_ held
-  // — keep the commit path off that mutex) at worst costs one poll period.
-  writer_cv_.notify_one();
   {
     std::unique_lock<std::mutex> lk(waiter_mu_);
     waiter_cv_.wait(lk, [&] {
@@ -300,32 +315,36 @@ void WalWriter::WaitDurable(uint64_t pos, cc::WaitsForGraph* wf,
 }
 
 void WalWriter::WriterLoop() {
-  std::unique_lock<std::mutex> lk(writer_mu_);
   for (;;) {
-    writer_cv_.wait_for(lk, std::chrono::microseconds(500), [&] {
-      return stop_ || reserved_.load(std::memory_order_relaxed) != drained_;
-    });
-    const bool stopping = stop_;
-    if (reserved_.load(std::memory_order_relaxed) != drained_) {
-      lk.unlock();
-      if (!stopping && options_.durability == Durability::kGroup &&
-          options_.group_window_us > 0) {
-        // Group-commit accumulation window: commits arriving while we
-        // sleep (and while the sync below runs) share one fsync.
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.group_window_us));
-      }
-      DrainAndSync();
-      lk.lock();
+    bool stopping;
+    {
+      std::unique_lock<std::mutex> lk(writer_mu_);
+      writer_cv_.wait(lk, [&] {
+        return stop_ ||
+               sync_req_.load(std::memory_order_acquire) >
+                   durable_.load(std::memory_order_relaxed) ||
+               drain_req_.load(std::memory_order_acquire) > drained_;
+      });
+      stopping = stop_;
     }
-    if (stop_ && reserved_.load(std::memory_order_relaxed) == drained_) break;
+    // Read the sync request BEFORE draining: the drain then ends past every
+    // position the request names.  Requests that arrive during the fsync
+    // below are seen by the next wait's predicate, which loops at once —
+    // that batch is the pipeline's next group.
+    const bool sync = stopping || sync_req_.load(std::memory_order_acquire) >
+                                      durable_.load(std::memory_order_relaxed);
+    Drain();
+    if (sync) Sync();
+    if (stopping) break;
   }
 }
 
-void WalWriter::DrainAndSync() {
+void WalWriter::Drain() {
   const uint64_t end = reserved_.load(std::memory_order_acquire);
   if (end == drained_) return;
-  batch_buf_.clear();
+  // The frame header is filled in after the payload, so header and payload
+  // go out in one write.
+  batch_buf_.assign(kFrameHeaderBytes, 0);
   for (uint64_t pos = drained_; pos != end; ++pos) {
     Slot& s = slots_[pos & mask_];
     // The producer that claimed `pos` is past its fetch_add; wait out its
@@ -367,25 +386,40 @@ void WalWriter::DrainAndSync() {
     s.ret = Value();
     s.turn.store(pos + mask_ + 1, std::memory_order_release);
   }
-  if (fd_ >= 0) {
-    uint8_t header[kFrameHeaderBytes];
-    memcpy(header, kMagic, 4);
-    const uint32_t len = static_cast<uint32_t>(batch_buf_.size());
-    const uint32_t crc = WalCrc32(batch_buf_.data(), batch_buf_.size());
-    memcpy(header + 4, &len, 4);
-    memcpy(header + 8, &crc, 4);
-    if (WriteAll(fd_, header, kFrameHeaderBytes) &&
-        WriteAll(fd_, batch_buf_.data(), batch_buf_.size())) {
-      ::fsync(fd_);
-      frames_.fetch_add(1, std::memory_order_relaxed);
-      syncs_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  const uint8_t* payload = batch_buf_.data() + kFrameHeaderBytes;
+  const uint32_t len =
+      static_cast<uint32_t>(batch_buf_.size() - kFrameHeaderBytes);
+  const uint32_t crc = WalCrc32(payload, len);
+  memcpy(batch_buf_.data(), kMagic, 4);
+  memcpy(batch_buf_.data() + 4, &len, 4);
+  memcpy(batch_buf_.data() + 8, &crc, 4);
+  // A log that never opened (fd_ < 0) fails here with EBADF.
+  if (!WriteAll(fd_, batch_buf_.data(), batch_buf_.size())) FailStop("write");
+  frames_.fetch_add(1, std::memory_order_relaxed);
   drained_ = end;
-  durable_.store(end, std::memory_order_release);
+}
+
+void WalWriter::Sync() {
+  if (drained_ == durable_.load(std::memory_order_relaxed)) return;
+  if (::fsync(fd_) != 0) FailStop("fsync");
+  syncs_.fetch_add(1, std::memory_order_relaxed);
+  durable_.store(drained_, std::memory_order_release);
   // Empty critical section: pairs the store with waiters' predicate check.
   { std::lock_guard<std::mutex> g(waiter_mu_); }
   waiter_cv_.notify_all();
+}
+
+void WalWriter::FailStop(const char* what) const {
+  // Under the optimistic protocols a commit in the failed batch is already
+  // visible to its dependency successors (MarkCommitted precedes
+  // WaitDurable), so no "not durable" outcome could be honest: stop the
+  // process before anything is acked (PostgreSQL's fsync-PANIC rule).
+  const int err = errno;
+  std::fprintf(stderr,
+               "objectbase wal: %s failed on %s: %s (errno %d); aborting "
+               "before the durable watermark moves\n",
+               what, options_.path.c_str(), std::strerror(err), err);
+  std::abort();
 }
 
 // --- scan / recovery --------------------------------------------------------

@@ -1,4 +1,4 @@
-// Write-ahead durability: redo logging with group commit.
+// Write-ahead durability: redo logging with pipelined group commit.
 //
 // The paper's serialisability theory assumes committed transactions persist;
 // this subsystem makes the runtime honour that.  Three pieces:
@@ -8,12 +8,15 @@
 //     position, OpId, args, recorded ret) at apply time — the staging call
 //     sits inside the same per-object critical section as the journal's
 //     reserve-and-publish, so staged order per object is the true
-//     application order.  The writer drains the published prefix, packs one
-//     length-prefixed CRC32-checksummed frame per batch, issues ONE
-//     write+fsync for the whole batch (the txfs batched-journal-commit
-//     idiom) and release-publishes the durable watermark.  Commit
-//     acknowledgement gates on the watermark (WaitDurable), so a group of
-//     concurrent committers shares a single sync.
+//     application order.  The writer is demand-driven: a staged commit
+//     marker requests a sync and wakes it at once.  It drains the staged
+//     prefix, packs one length-prefixed CRC32-checksummed frame per batch,
+//     issues ONE write+fsync for the whole batch (the txfs
+//     batched-journal-commit idiom) and release-publishes the durable
+//     watermark.  Commits staged while an fsync runs form the next batch
+//     (Aether-style flush pipelining), so the group forms without any
+//     sleep.  Redo records alone never trigger an fsync.  A failed write or
+//     fsync aborts the process before the watermark moves (fail-stop).
 //
 //   * Log format — a sequence of frames
 //         [u32 magic 'OBWL'][u32 payload_len][u32 crc32(payload)][payload]
@@ -63,21 +66,16 @@ class ObjectBase;
 
 /// When commit acknowledgement returns to the application.
 enum class Durability {
-  kNone,       ///< No logging at all (the PR-5 behaviour; zero overhead).
-  kGroup,      ///< Ack after the batched group sync covering the commit.
-  kPerCommit,  ///< Ack after an immediate sync (no accumulation window).
+  kNone,   ///< No logging at all (the PR-5 behaviour; zero overhead).
+  kGroup,  ///< Ack after the batched group sync covering the commit.
 };
 
 const char* DurabilityName(Durability d);
 
 struct WalOptions {
   std::string path;
-  Durability durability = Durability::kGroup;
-  /// kGroup: accumulation window before each batch sync — larger windows
-  /// amortise fsync over more commits at the cost of commit latency.
-  uint32_t group_window_us = 100;
-  /// Staging ring capacity (power of two).  Producers that outrun the
-  /// writer by a full ring spin (bounded-memory backpressure).
+  /// Staging ring capacity (power of two).  A producer that finds the ring
+  /// full requests a drain and spins (bounded-memory backpressure).
   size_t ring_capacity = 1 << 14;
 };
 
@@ -118,7 +116,8 @@ class WalWriter {
   static constexpr uint64_t kOrderByStagePos = ~uint64_t{0};
 
   /// Opens (truncating) the log file and starts the writer thread.
-  /// `ok()` is false if the file could not be opened.
+  /// `ok()` is false if the file could not be opened; staging a record
+  /// into such a writer fails stop like any other log I/O error.
   explicit WalWriter(WalOptions options);
   /// Drains everything staged, syncs, and joins the writer.
   ~WalWriter();
@@ -129,7 +128,9 @@ class WalWriter {
   bool ok() const { return fd_ >= 0; }
   const WalOptions& options() const { return options_; }
 
-  // --- staging (lock-free; called from transaction threads) ---------------
+  // --- staging (called from transaction threads) ---------------------------
+  // Lock-free, except that StageCommit, and a producer that finds the ring
+  // full, take writer_mu_ briefly to wake the writer.
 
   /// Stages one applied step.  Call inside the object's apply critical
   /// section so per-object staging order is the application order.
@@ -140,8 +141,11 @@ class WalWriter {
                      std::shared_ptr<const std::vector<uint64_t>> chain,
                      adt::OpId op_id, const Args& args, const Value& ret);
 
-  /// Stages the commit marker for a top-level transaction.  Stage BEFORE
-  /// DependencyGraph::MarkCommitted (see the watermark-soundness note).
+  /// Stages the commit marker for a top-level transaction and requests a
+  /// sync covering it, waking the writer — so the fsync starts before the
+  /// caller reaches WaitDurable, and a cross-shard commit's per-shard syncs
+  /// run in parallel.  Stage BEFORE DependencyGraph::MarkCommitted (see the
+  /// watermark-soundness note).
   /// `shard_mask`: 0 for a single-log commit; under a sharded topology a
   /// cross-shard top stages one marker per touched shard's log, each
   /// carrying the full touched-shard bitmask — recovery then treats the
@@ -157,7 +161,8 @@ class WalWriter {
   // --- commit gating -------------------------------------------------------
 
   /// Blocks until the watermark covers `pos` (i.e. the record staged at
-  /// `pos` is on disk).  When `wf` is non-null the wait is declared in the
+  /// `pos` is on disk), requesting a sync if none covers `pos` yet (a no-op
+  /// after StageCommit).  When `wf` is non-null the wait is declared in the
   /// waits-for graph under kWalPseudoHolderUid (PR 5's certifier-wait
   /// pattern), so composite wait states stay visible to the deadlock
   /// detector; the declaration itself can never report a deadlock.
@@ -190,15 +195,26 @@ class WalWriter {
     Value ret;
   };
 
-  /// Claims the next ring position, spinning while the ring is full
-  /// (bounded backpressure; the writer always makes progress).
+  /// Claims the next ring position.  While the ring is full it requests a
+  /// drain of the slot's previous lap and spins (bounded backpressure; the
+  /// writer always makes progress).
   Slot& Claim(uint64_t* pos);
   void Publish(Slot& slot, uint64_t pos);
 
+  /// Raises `req` to at least `end` and, if that raised it, wakes the
+  /// writer.  The empty writer_mu_ critical section before the notify pairs
+  /// with the writer's predicate check, so no request is ever lost.
+  void Request(std::atomic<uint64_t>& req, uint64_t end);
+
   void WriterLoop();
-  /// Drains [drained_, reserved_) into one frame, writes, syncs, publishes
-  /// the watermark and wakes commit waiters.
-  void DrainAndSync();
+  /// Drains [drained_, reserved_) into one frame and writes it (no fsync).
+  void Drain();
+  /// fsyncs everything drained, publishes the watermark and wakes commit
+  /// waiters.
+  void Sync();
+  /// Fail-stop on a log I/O error: reports the path and errno, then aborts
+  /// before the watermark can move.
+  [[noreturn]] void FailStop(const char* what) const;
 
   WalOptions options_;
   int fd_ = -1;
@@ -208,11 +224,16 @@ class WalWriter {
   std::atomic<uint64_t> reserved_{0};  // next staging position
   uint64_t drained_ = 0;               // writer-private
   std::atomic<uint64_t> durable_{0};
+  // Requests, as exclusive end positions: `sync_req_` asks for everything
+  // before it to be durable (commit markers); `drain_req_` asks only for a
+  // drain (ring-full backpressure), which writes without an fsync.
+  std::atomic<uint64_t> sync_req_{0};
+  std::atomic<uint64_t> drain_req_{0};
 
   std::atomic<uint64_t> syncs_{0};
   std::atomic<uint64_t> frames_{0};
 
-  std::mutex writer_mu_;  // writer parking only — never on the stage path
+  std::mutex writer_mu_;  // guards stop_; taken to park and to wake the writer
   std::condition_variable writer_cv_;
   std::mutex waiter_mu_;
   std::condition_variable waiter_cv_;

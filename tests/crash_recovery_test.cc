@@ -2,7 +2,7 @@
 //
 // Each round forks a child process that runs a contended durable banking
 // workload (transfers + a unique tag inserted per successful transfer,
-// durability=group or per_commit, protocol rotated across all five).  The
+// durability=group, protocol rotated across all five).  The
 // child appends each ACKNOWLEDGED transfer's tag to a per-thread ack file
 // with a raw write() AFTER RunTransaction returns committed — i.e. after
 // the commit gate's WaitDurable.  The parent SIGKILLs the child at a
@@ -87,8 +87,6 @@ void BuildBase(ObjectBase& base) {
 
 struct RoundConfig {
   Protocol protocol = Protocol::kNto;
-  Durability durability = Durability::kGroup;
-  uint32_t group_window_us = 100;
   uint64_t child_seed = 0;
 };
 
@@ -103,9 +101,8 @@ void ChildWorkload(const std::string& wal_path, const std::string& ack_prefix,
   ExecutorOptions opts;
   opts.protocol = cfg.protocol;
   opts.record = false;
-  opts.durability = cfg.durability;
+  opts.durability = Durability::kGroup;
   opts.wal_path = wal_path;
-  opts.wal_group_window_us = cfg.group_window_us;
   Executor exec(base, opts);
   std::vector<std::thread> workers;
   for (int t = 0; t < kChildThreads; ++t) {
@@ -230,11 +227,13 @@ struct HarnessTotals {
 
 void RunCrashRound(uint64_t seed, int round, HarnessTotals& totals) {
   Rng rng(seed);
+  // The pid in the names keeps concurrent runs of this binary (the default
+  // and the long registration under ctest -j) off each other's files.
   const std::string dir = ::testing::TempDir();
-  const std::string wal_path =
-      dir + "/crash_wal_" + std::to_string(round) + ".log";
-  const std::string ack_prefix =
-      dir + "/crash_ack_" + std::to_string(round);
+  const std::string tag =
+      std::to_string(::getpid()) + "_" + std::to_string(round);
+  const std::string wal_path = dir + "/crash_wal_" + tag + ".log";
+  const std::string ack_prefix = dir + "/crash_ack_" + tag;
   std::remove(wal_path.c_str());
   for (int t = 0; t < kChildThreads; ++t) {
     std::remove((ack_prefix + "." + std::to_string(t)).c_str());
@@ -245,10 +244,6 @@ void RunCrashRound(uint64_t seed, int round, HarnessTotals& totals) {
                                 Protocol::kMixed};
   RoundConfig cfg;
   cfg.protocol = protocols[rng.Uniform(5)];
-  cfg.durability =
-      rng.Bernoulli(0.2) ? Durability::kPerCommit : Durability::kGroup;
-  const uint32_t windows[] = {0, 50, 200};
-  cfg.group_window_us = windows[rng.Uniform(3)];
   cfg.child_seed = rng.NextU64();
   // Kill spreads from ~2ms to ~64ms: early kills exercise "no/short log",
   // late ones "deep log / finished child".
@@ -256,8 +251,6 @@ void RunCrashRound(uint64_t seed, int round, HarnessTotals& totals) {
   const uint64_t kill_after_us = 200 + rng.Uniform(spread_us);
   SCOPED_TRACE("round=" + std::to_string(round) +
                " protocol=" + ProtocolName(cfg.protocol) +
-               " durability=" + DurabilityName(cfg.durability) +
-               " window_us=" + std::to_string(cfg.group_window_us) +
                " kill_after_us=" + std::to_string(kill_after_us));
 
   const pid_t pid = ::fork();

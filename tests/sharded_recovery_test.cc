@@ -57,7 +57,7 @@ TEST(ShardedRecovery, CleanShardedRunRecoversOnFreshBase) {
     BuildTwoCounters(base);
     Executor exec(base, {.protocol = Protocol::kNto,
                          .record = false,
-                         .durability = Durability::kPerCommit,
+                         .durability = Durability::kGroup,
                          .wal_path = wal});
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(exec.RunTransaction("ta", [](MethodCtx& txn) {
@@ -108,7 +108,7 @@ TEST(ShardedRecovery, LostShardLogExcisesCrossShardTopFromEveryShard) {
     base.CreateObject("b", adt::MakeRegisterSpec(0));  // shard 1
     Executor exec(base, {.protocol = Protocol::kNto,
                          .record = false,
-                         .durability = Durability::kPerCommit,
+                         .durability = Durability::kGroup,
                          .wal_path = wal});
     ASSERT_TRUE(exec.RunTransaction("T_A", [](MethodCtx& txn) {
                       txn.Invoke("a", "write", {1});
@@ -160,7 +160,7 @@ TEST(ShardedRecovery, PartialAbortExcisesSubtreeFromAllShardLogs) {
     BuildTwoCounters(base);
     Executor exec(base, {.protocol = Protocol::kN2pl,
                          .record = false,
-                         .durability = Durability::kPerCommit,
+                         .durability = Durability::kGroup,
                          .wal_path = wal});
     ASSERT_TRUE(exec.DefineMethod("a", "span_then_abort",
                                   [](MethodCtx& txn) {

@@ -5,13 +5,18 @@
 // final state, uncommitted/aborted-subtree excision, the table-driven
 // torn-write sweep (truncation AND single-byte corruption at EVERY byte
 // offset of a multi-frame log — clean truncation, no crash, no phantom
-// commits), and the step-path mutex-freedom invariant with the WAL hook
-// attached.
+// commits), the demand-driven writer (redo-only work never syncs, ring-full
+// backpressure drains, concurrent commit waiters never hang), fail-stop on
+// a log write error, and the step-path mutex-freedom invariant with the WAL
+// hook attached.
 #include "src/runtime/wal.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -29,8 +34,11 @@
 namespace objectbase::rt {
 namespace {
 
+// The pid keeps concurrent runs of this binary (ctest -j, --repeat) off
+// each other's logs.
 std::string TmpPath(const std::string& tag) {
-  return ::testing::TempDir() + "/objectbase_wal_" + tag + ".log";
+  return ::testing::TempDir() + "/objectbase_wal_" + tag + "." +
+         std::to_string(::getpid()) + ".log";
 }
 
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {
@@ -70,7 +78,6 @@ TEST(WalCodecTest, RecordRoundTrip) {
   {
     WalOptions opts;
     opts.path = path;
-    opts.durability = Durability::kGroup;
     opts.ring_capacity = 1 << 6;
     WalWriter w(opts);
     ASSERT_TRUE(w.ok());
@@ -129,8 +136,7 @@ void BuildBankBase(ObjectBase& base) {
 /// Runs a contended transfer mix under `protocol` with the WAL on, then
 /// recovers the log into a fresh identically-initialised base and asserts
 /// state equality object-by-object.
-void RunLogRecoverEquality(Protocol protocol, Durability durability,
-                           const std::string& tag) {
+void RunLogRecoverEquality(Protocol protocol, const std::string& tag) {
   const std::string path = TmpPath(tag);
   ObjectBase base;
   BuildBankBase(base);
@@ -139,9 +145,8 @@ void RunLogRecoverEquality(Protocol protocol, Durability durability,
     ExecutorOptions opts;
     opts.protocol = protocol;
     opts.record = false;
-    opts.durability = durability;
+    opts.durability = Durability::kGroup;
     opts.wal_path = path;
-    opts.wal_group_window_us = 50;
     Executor exec(base, opts);
     ASSERT_NE(exec.wal(), nullptr);
     ASSERT_TRUE(exec.wal()->ok());
@@ -213,24 +218,19 @@ void RunLogRecoverEquality(Protocol protocol, Durability durability,
 }
 
 TEST(WalRecoveryTest, GroupCommitN2pl) {
-  RunLogRecoverEquality(Protocol::kN2pl, Durability::kGroup, "eq_n2pl");
+  RunLogRecoverEquality(Protocol::kN2pl, "eq_n2pl");
 }
 TEST(WalRecoveryTest, GroupCommitNto) {
-  RunLogRecoverEquality(Protocol::kNto, Durability::kGroup, "eq_nto");
+  RunLogRecoverEquality(Protocol::kNto, "eq_nto");
 }
 TEST(WalRecoveryTest, GroupCommitCert) {
-  RunLogRecoverEquality(Protocol::kCert, Durability::kGroup, "eq_cert");
+  RunLogRecoverEquality(Protocol::kCert, "eq_cert");
 }
 TEST(WalRecoveryTest, GroupCommitGemstone) {
-  RunLogRecoverEquality(Protocol::kGemstone, Durability::kGroup,
-                        "eq_gemstone");
+  RunLogRecoverEquality(Protocol::kGemstone, "eq_gemstone");
 }
 TEST(WalRecoveryTest, GroupCommitMixed) {
-  RunLogRecoverEquality(Protocol::kMixed, Durability::kGroup, "eq_mixed");
-}
-TEST(WalRecoveryTest, PerCommitNto) {
-  RunLogRecoverEquality(Protocol::kNto, Durability::kPerCommit,
-                        "eq_nto_percommit");
+  RunLogRecoverEquality(Protocol::kMixed, "eq_mixed");
 }
 
 // Redo records of tops without a durable commit marker are skipped.
@@ -376,8 +376,6 @@ TEST(WalTornWriteTest, EveryTruncationAndCorruptionOffset) {
   {
     WalOptions opts;
     opts.path = path;
-    opts.durability = Durability::kGroup;
-    opts.group_window_us = 0;
     WalWriter w(opts);
     ASSERT_TRUE(w.ok());
     for (int k = 0; k < kFrames; ++k) {
@@ -445,6 +443,107 @@ TEST(WalTornWriteTest, EveryTruncationAndCorruptionOffset) {
     if (::testing::Test::HasFatalFailure()) break;
   }
   std::remove(victim.c_str());
+}
+
+// --- the demand-driven writer ----------------------------------------------
+//
+// The writer waits without a timeout and wakes only on a request: a staged
+// commit marker (sync) or a full ring (drain).  A lost wakeup therefore
+// hangs these tests (ctest's timeout reports it) instead of costing a poll
+// period.
+
+std::shared_ptr<const std::vector<uint64_t>> Chain(uint64_t uid) {
+  return std::make_shared<const std::vector<uint64_t>>(
+      std::vector<uint64_t>{uid});
+}
+
+// Redo records alone never trigger an fsync: they become durable with the
+// first commit marker staged after them.
+TEST(WalWriterTest, RedoOnlyWorkNeverSyncs) {
+  const std::string path = TmpPath("redo_only");
+  {
+    WalWriter w(WalOptions{path});
+    ASSERT_TRUE(w.ok());
+    for (int i = 0; i < 64; ++i) {
+      w.StageRedo(0, WalWriter::kOrderByStagePos, 1, 1, Chain(1), 0,
+                  {Value(int64_t{i})}, Value::None());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(w.syncs(), 0u);
+    EXPECT_EQ(w.DurableWatermark(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
+// A transaction staging far more redos than the ring holds: each producer
+// that finds the ring full requests a drain (a write, no fsync), so staging
+// never deadlocks and the commit costs exactly one sync.
+TEST(WalWriterTest, RingFullDrainsWithoutDeadlock) {
+  const std::string path = TmpPath("ring_full");
+  constexpr int kRedos = 1000;
+  {
+    WalOptions opts;
+    opts.path = path;
+    opts.ring_capacity = 4;
+    WalWriter w(opts);
+    ASSERT_TRUE(w.ok());
+    for (int i = 0; i < kRedos; ++i) {
+      w.StageRedo(0, WalWriter::kOrderByStagePos, 1, 1, Chain(1), 0,
+                  {Value(int64_t{i})}, Value::None());
+    }
+    const uint64_t pos = w.StageCommit(1);
+    w.WaitDurable(pos);
+    EXPECT_EQ(w.DurableWatermark(), w.staged());
+    EXPECT_EQ(w.staged(), static_cast<uint64_t>(kRedos + 1));
+    EXPECT_EQ(w.syncs(), 1u);
+    EXPECT_GT(w.frames(), 1u);
+  }
+  WalScanResult scan = ScanWal(path);
+  ASSERT_TRUE(scan.ok);
+  EXPECT_FALSE(scan.torn);
+  EXPECT_EQ(scan.records.size(), static_cast<size_t>(kRedos + 1));
+  EXPECT_EQ(scan.committed_tops, std::vector<uint64_t>{1});
+  std::remove(path.c_str());
+}
+
+// Many threads each committing and waiting in lockstep: every wait must
+// return (a lost wakeup hangs here) and cover its own marker.
+TEST(WalWriterTest, ConcurrentCommitWaitersNeverHang) {
+  const std::string path = TmpPath("waiters");
+  constexpr int kThreads = 4;
+  constexpr int kCommits = 2000;
+  {
+    WalWriter w(WalOptions{path});
+    ASSERT_TRUE(w.ok());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kCommits; ++i) {
+          const uint64_t pos = w.StageCommit(t * kCommits + i + 1);
+          w.WaitDurable(pos);
+          EXPECT_GT(w.DurableWatermark(), pos);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(w.staged(), static_cast<uint64_t>(kThreads * kCommits));
+    EXPECT_EQ(w.DurableWatermark(), w.staged());
+  }
+  std::remove(path.c_str());
+}
+
+// Fail-stop: a failed log write must never ack a commit.  /dev/full accepts
+// the open and fails every write with ENOSPC; the writer must report the
+// path and errno and abort before the watermark moves.
+TEST(WalWriterDeathTest, FailedWriteAbortsBeforeAck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        WalWriter w(WalOptions{"/dev/full"});
+        w.WaitDurable(w.StageCommit(1));
+        std::exit(0);  // acked a commit that is not on disk
+      },
+      "write failed on /dev/full: No space left on device");
 }
 
 // --- zero-overhead / mutex-freedom invariants ------------------------------
