@@ -16,10 +16,11 @@ std::atomic<uint64_t>& CertStepExclusiveAcquisitions() {
 }
 
 CertController::CertController(rt::Recorder& recorder, Granularity granularity,
-                               size_t fold_threshold)
+                               size_t fold_threshold, bool journal_hts)
     : recorder_(recorder),
       granularity_(granularity),
-      fold_threshold_(fold_threshold) {}
+      fold_threshold_(fold_threshold),
+      journal_hts_(journal_hts) {}
 
 void CertController::OnTopBegin(rt::TxnNode& top) {
   // Cache the packed slot handle on the node: every per-step doom poll and
@@ -43,7 +44,8 @@ OpOutcome CertController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
   // Opportunistic watermark GC (the same retirement rule as NTO); folds a
   // committed prefix of the journal into the base state.  The cadence
   // poll is lock-free (AppliedJournal::WantsFold + lock-free watermark
-  // scan).
+  // scan); a step that finds another fold in flight on this object skips
+  // GC, and the retired chunks are freed after the fold drops the latch.
   if (obj.journal().WantsFold(fold_threshold_)) {
     obj.FoldPrefix(deps_.MinActiveCounter(), fold_threshold_);
   }
@@ -100,8 +102,9 @@ OpOutcome CertController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
   entry.exec_uid = txn.uid();
   entry.top_uid = my_top;
   entry.dep = my_ref.raw();
+  entry.top_serial = txn.top()->hts().top_component();
   entry.chain = txn.ChainPtr();
-  entry.hts = txn.HtsSnapshot();
+  if (journal_hts_) entry.hts = txn.HtsSnapshot();
   entry.op_id = op.id;
   entry.args = args;
   entry.ret = applied.ret;

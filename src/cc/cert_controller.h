@@ -49,8 +49,12 @@ class CertController : public Controller {
   /// `fold_threshold`: journal-GC cadence (fold at threshold, then every
   /// threshold/2 entries); 0 disables folding — tests use it to pin the
   /// zero-journal-mutex steady state.
+  /// `journal_hts`: stamp each journal entry with the issuing node's hts
+  /// snapshot.  Only MIXED sets it (its kTimestamp admission scan compares
+  /// entry timestamps); plain CERT never reads them, so its entries carry
+  /// just the top's serial and skip the snapshot's allocations.
   CertController(rt::Recorder& recorder, Granularity granularity,
-                 size_t fold_threshold = 64);
+                 size_t fold_threshold = 64, bool journal_hts = false);
 
   const char* name() const override { return "CERT"; }
 
@@ -110,6 +114,7 @@ class CertController : public Controller {
   rt::Recorder& recorder_;
   Granularity granularity_;
   size_t fold_threshold_;
+  bool journal_hts_;
   WaitsForGraph* durability_wfg_ = nullptr;
   DependencyGraph deps_;
   SiblingStripe sibling_stripes_[kSiblingStripes];

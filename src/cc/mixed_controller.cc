@@ -17,7 +17,8 @@ const char* IntraPolicyName(IntraPolicy p) {
 MixedController::MixedController(rt::Recorder& recorder, size_t num_objects,
                                  size_t fold_threshold)
     : recorder_(recorder),
-      certifier_(recorder, Granularity::kStep, fold_threshold),
+      certifier_(recorder, Granularity::kStep, fold_threshold,
+                 /*journal_hts=*/true),
       policy_count_(num_objects),
       policies_(std::make_unique<std::atomic<int8_t>[]>(num_objects)) {
   for (size_t i = 0; i < policy_count_; ++i) {

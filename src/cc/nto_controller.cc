@@ -179,6 +179,7 @@ OpOutcome NtoController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
   entry.exec_uid = txn.uid();
   entry.top_uid = my_top;
   entry.dep = my_ref.raw();
+  entry.top_serial = txn.top()->hts().top_component();
   entry.chain = txn.ChainPtr();
   entry.hts = txn.HtsSnapshot();
   entry.op_id = op.id;

@@ -61,6 +61,7 @@ inline AppliedOutcome ApplyLocked(TxnNode& txn, Object& obj,
     // `dep_raw` lets a shard-bound caller pass its per-shard registry
     // handle; 0 falls back to the classic single-registry handle.
     entry.dep = dep_raw != 0 ? dep_raw : txn.top()->dep_handle();
+    entry.top_serial = txn.top()->hts().top_component();
     entry.chain = txn.ChainPtr();
     entry.hts = txn.HtsSnapshot();
     entry.op_id = op.id;

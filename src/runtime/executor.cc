@@ -379,8 +379,9 @@ Value Executor::InvokeChild(TxnNode& parent, const MethodRef& m, Args args,
       v = (*m.fn)(ctx);
     } else if (m.op != nullptr) {
       // Implicit method: a single local step executing the operation.
-      MethodCtx ctx(*this, *child, &obj, args);
-      v = ctx.Local(*m.op, args);
+      // Nothing reads ctx.args() here, so the arguments move to the step.
+      MethodCtx ctx(*this, *child, &obj, Args{});
+      v = ctx.Local(*m.op, std::move(args));
     } else {
       throw AbortSignal{cc::AbortReason::kUser};
     }

@@ -38,24 +38,56 @@ AppliedJournal::AppliedJournal(size_t num_ops)
       head_(new EntryChunk(0)),
       tail_hint_(head_.load(std::memory_order_relaxed)) {}
 
-AppliedJournal::~AppliedJournal() {
-  // Quiescent by contract: free the live chain and every limbo chunk.
-  EntryChunk* c = head_.load(std::memory_order_relaxed);
+namespace {
+
+// Chunk chains (journal and index chunks alike) are linked by `next`.
+
+template <typename Chunk>
+void FreeChain(Chunk* c) {
   while (c != nullptr) {
-    EntryChunk* next = c->next.load(std::memory_order_relaxed);
+    Chunk* next = c->next.load(std::memory_order_relaxed);
     delete c;
     c = next;
   }
-  for (EntryChunk* l : limbo_) delete l;
-  for (size_t op = 0; op < num_ops_; ++op) {
-    PosChunk* p = lists_[op].head.load(std::memory_order_relaxed);
-    while (p != nullptr) {
-      PosChunk* next = p->next.load(std::memory_order_relaxed);
-      delete p;
-      p = next;
-    }
+}
+
+// Moves the limbo run [limbo, live) onto the front of the chain `out`.
+// Only once no reader can reach limbo: it rewrites the run's last link.
+template <typename Chunk>
+void SpliceLimbo(Chunk*& limbo, const Chunk* live, Chunk*& out) {
+  if (limbo == nullptr) return;
+  Chunk* last = limbo;
+  while (last->next.load(std::memory_order_relaxed) != live) {
+    last = last->next.load(std::memory_order_relaxed);
   }
-  for (PosChunk* l : pos_limbo_) delete l;
+  last->next.store(out, std::memory_order_relaxed);
+  out = limbo;
+  limbo = nullptr;
+}
+
+}  // namespace
+
+AppliedJournal::~AppliedJournal() { FreeAllChunks(); }
+
+AppliedJournal::Retired::~Retired() {
+  FreeChain(chunks_);
+  FreeChain(pos_chunks_);
+}
+
+void AppliedJournal::FreeAllChunks() {
+  // Quiescent by contract.  A non-empty limbo still chains into the live
+  // chunks, so each walk starts at the oldest chunk either way.
+  FreeChain(limbo_ != nullptr ? limbo_
+                              : head_.load(std::memory_order_relaxed));
+  limbo_ = nullptr;
+  for (size_t op = 0; op < num_ops_; ++op) {
+    PosList& list = lists_[op];
+    FreeChain(list.limbo != nullptr
+                  ? list.limbo
+                  : list.head.load(std::memory_order_relaxed));
+    list.limbo = nullptr;
+  }
+  limbo_chunks_ = 0;
 }
 
 AppliedJournal::EntryChunk* AppliedJournal::ChunkFor(uint64_t pos) {
@@ -154,6 +186,7 @@ void AppliedJournal::PublishAt(uint64_t pos, JournalRecord&& r) {
   e.exec_uid = r.exec_uid;
   e.top_uid = r.top_uid;
   e.dep = r.dep;
+  e.top_serial = r.top_serial;
   e.chain = std::move(r.chain);
   e.hts = std::move(r.hts);
   e.op_id = r.op_id;
@@ -205,7 +238,8 @@ void AppliedJournal::AdvanceFolded(uint64_t new_folded) {
          c->next.load(std::memory_order_acquire) != nullptr) {
     EntryChunk* next = c->next.load(std::memory_order_acquire);
     head_.store(next, std::memory_order_seq_cst);
-    limbo_.push_back(c);
+    if (limbo_ == nullptr) limbo_ = c;
+    ++limbo_chunks_;
     c = next;
   }
   // Refresh the append hint if it points into limbo (possible only when
@@ -243,7 +277,8 @@ void AppliedJournal::AdvanceFolded(uint64_t new_folded) {
            lc->next.load(std::memory_order_acquire) != nullptr) {
       PosChunk* next = lc->next.load(std::memory_order_acquire);
       list.head.store(next, std::memory_order_seq_cst);
-      pos_limbo_.push_back(lc);
+      if (list.limbo == nullptr) list.limbo = lc;
+      ++limbo_chunks_;
       lc = next;
     }
     PosChunk* lhint = list.tail_hint.load(std::memory_order_relaxed);
@@ -253,53 +288,41 @@ void AppliedJournal::AdvanceFolded(uint64_t new_folded) {
   }
 }
 
-void AppliedJournal::ReleaseLimbo() {
-  if (limbo_.empty() && pos_limbo_.empty()) return;
+void AppliedJournal::ReleaseLimbo(Retired& out) {
+  if (limbo_chunks_ == 0) return;
   // Safe iff no reader is pinned NOW: pins precede head snapshots, so any
   // reader pinned after this observation reads the refreshed heads and can
   // never reach a limbo chunk; any reader that could is pinned and makes
   // the count non-zero.  (Both sides seq_cst — see docs/journal.md.)
   if (readers_.load(std::memory_order_seq_cst) != 0) return;
-  freed_chunks_.fetch_add(limbo_.size() + pos_limbo_.size(),
-                          std::memory_order_relaxed);
-  for (EntryChunk* c : limbo_) delete c;
-  for (PosChunk* c : pos_limbo_) delete c;
-  limbo_.clear();
-  pos_limbo_.clear();
+  freed_chunks_.fetch_add(limbo_chunks_, std::memory_order_relaxed);
+  limbo_chunks_ = 0;
+  // Nobody can reach limbo any more, so its links are ours to rewrite.
+  SpliceLimbo(limbo_, head_.load(std::memory_order_relaxed), out.chunks_);
+  for (size_t op = 0; op < num_ops_; ++op) {
+    PosList& list = lists_[op];
+    SpliceLimbo(list.limbo, list.head.load(std::memory_order_relaxed),
+                out.pos_chunks_);
+  }
 }
 
 size_t AppliedJournal::LimboChunks() const {
   JournalMutexAcquisitions().fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> g(const_cast<std::mutex&>(fold_mu_));
-  return limbo_.size() + pos_limbo_.size();
+  return limbo_chunks_;
 }
 
 void AppliedJournal::Reset() {
   JournalMutexAcquisitions().fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> g(fold_mu_);
-  EntryChunk* c = head_.load(std::memory_order_relaxed);
-  while (c != nullptr) {
-    EntryChunk* next = c->next.load(std::memory_order_relaxed);
-    delete c;
-    c = next;
-  }
-  for (EntryChunk* l : limbo_) delete l;
-  limbo_.clear();
+  FreeAllChunks();
   for (size_t op = 0; op < num_ops_; ++op) {
     PosList& list = lists_[op];
-    PosChunk* p = list.head.load(std::memory_order_relaxed);
-    while (p != nullptr) {
-      PosChunk* next = p->next.load(std::memory_order_relaxed);
-      delete p;
-      p = next;
-    }
     list.head.store(nullptr, std::memory_order_relaxed);
     list.tail_hint.store(nullptr, std::memory_order_relaxed);
     list.count.store(0, std::memory_order_relaxed);
     list.first_live.store(0, std::memory_order_relaxed);
   }
-  for (PosChunk* l : pos_limbo_) delete l;
-  pos_limbo_.clear();
   auto* fresh = new EntryChunk(0);
   head_.store(fresh, std::memory_order_relaxed);
   tail_hint_.store(fresh, std::memory_order_relaxed);

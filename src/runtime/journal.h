@@ -21,10 +21,12 @@
 //     (publication is a handful of field moves away — no locks, no waits);
 //   * FoldPrefix-style GC retires whole chunks: entries below the fold
 //     frontier are applied to the object's base state, the chunks are
-//     unlinked, parked in a limbo list and FREED only once the journal has
+//     unlinked, parked in limbo and released only once the journal has
 //     been observed with no pinned readers after the unlink — so a scanner
 //     that raced the fold keeps dereferencing valid memory (its stale view
-//     is semantically "the scan ran before the fold");
+//     is semantically "the scan ran before the fold").  Released chunks go
+//     to a Retired handle, so the caller can free them after it drops the
+//     object's latch;
 //   * per-op-class CONFLICT INDICES: one append-only list of entry pointers
 //     per OpId.  A conflict scan for op X visits only the lists of ops that
 //     conflict with X instead of the whole window.  The lists are complete
@@ -39,11 +41,16 @@
 //     apply serialisation EXCLUSIVELY (no concurrent appenders).  Lock-free
 //     scans may still run concurrently with all of these.
 //   * Scan: no lock required, ever.
+//   * Retired (the chunks a Fold released): no lock; destroying it frees
+//     them.  Object::FoldPrefix destroys it after dropping state_mu, and
+//     runs at most one fold per object at a time (a step that finds a
+//     fold in flight skips its own).
 //
 // The only mutex left is fold_mu_, serialising fold bookkeeping (limbo,
-// frees) against itself; every acquisition bumps JournalMutexAcquisitions()
-// so tests can pin the acceptance invariant: ZERO journal-mutex
-// acquisitions on the steady-state step path (see docs/journal.md).
+// the release decision) against itself; every acquisition bumps
+// JournalMutexAcquisitions() — exactly one per Fold — so tests can pin the
+// acceptance invariant: ZERO journal-mutex acquisitions on the
+// steady-state step path (see docs/journal.md).
 #ifndef OBJECTBASE_RUNTIME_JOURNAL_H_
 #define OBJECTBASE_RUNTIME_JOURNAL_H_
 
@@ -74,8 +81,14 @@ struct JournalRecord {
   uint64_t exec_uid = 0;  ///< Issuing method execution.
   uint64_t top_uid = 0;   ///< Its top-level ancestor.
   uint64_t dep = 0;       ///< Packed cc::DepRef of the top's registry slot.
+  /// The top's serial number (its hts().top_component(), also its registry
+  /// serial): the fold key Fold compares against the watermark.
+  uint64_t top_serial = 0;
   std::shared_ptr<const std::vector<uint64_t>> chain;  ///< self..top uids.
-  std::shared_ptr<const cc::Hts> hts;                  ///< hts snapshot.
+  /// The issuing node's hts snapshot, for protocols whose scans compare
+  /// timestamps (NTO, MIXED's kTimestamp policy).  Plain CERT never reads
+  /// it and leaves it null.
+  std::shared_ptr<const cc::Hts> hts;
   adt::OpId op_id = adt::kNoOp;
   Args args;
   Value ret;
@@ -95,8 +108,9 @@ class AppliedJournal {
     uint64_t exec_uid = 0;
     uint64_t top_uid = 0;
     uint64_t dep = 0;
+    uint64_t top_serial = 0;  ///< Fold key (see JournalRecord).
     std::shared_ptr<const std::vector<uint64_t>> chain;
-    std::shared_ptr<const cc::Hts> hts;
+    std::shared_ptr<const cc::Hts> hts;  ///< May be null (see JournalRecord).
     adt::OpId op_id = adt::kNoOp;
     Args args;
     Value ret;
@@ -207,6 +221,7 @@ class AppliedJournal {
     std::atomic<PosChunk*> tail_hint{nullptr};  // newest known chunk
     std::atomic<uint64_t> count{0};             // slots ever reserved
     std::atomic<uint64_t> first_live{0};        // slots folded away
+    PosChunk* limbo = nullptr;  // oldest unlinked chunk (see limbo_)
 
     size_t LiveCount() const {
       const uint64_t f = first_live.load(std::memory_order_relaxed);
@@ -336,6 +351,25 @@ class AppliedJournal {
     uint64_t end_ = 0;
   };
 
+  /// The chunks one Fold released from limbo: no reader can reach them any
+  /// more, so destroying the handle frees them, on whatever thread and
+  /// under whatever latches the owner then holds.  Object::FoldPrefix
+  /// keeps it past its exclusive latch, so the frees — each chunk's
+  /// entries own blocks allocated on the appending threads — stay off the
+  /// step path's critical section.
+  class Retired {
+   public:
+    Retired() = default;
+    ~Retired();
+    Retired(const Retired&) = delete;
+    Retired& operator=(const Retired&) = delete;
+
+   private:
+    friend class AppliedJournal;
+    EntryChunk* chunks_ = nullptr;   // null-terminated chain
+    PosChunk* pos_chunks_ = nullptr;  // null-terminated chain
+  };
+
   // --- exclusive maintenance (caller holds the apply serialisation) -------
 
   /// Marks every live entry issued by the subtree rooted at
@@ -357,12 +391,14 @@ class AppliedJournal {
     }
   }
 
-  /// Folds the maximal prefix whose top-level serial number is below
-  /// `watermark`: calls `apply` on each non-aborted folded entry (in
-  /// order), advances the fold frontier, retires fully-folded chunks and
-  /// frees whatever limbo the pinned readers have released.  Returns
-  /// entries folded.  Takes fold_mu_ (counted by
-  /// JournalMutexAcquisitions) — the journal's only mutex.
+  /// Folds the maximal prefix whose top-level serial number (the entries'
+  /// top_serial) is below `watermark`: calls `apply` on each non-aborted
+  /// folded entry (in order), advances the fold frontier, retires
+  /// fully-folded chunks and releases whatever limbo the pinned readers
+  /// have let go.  Released chunks move into `*retired` when given (the
+  /// caller frees them by destroying it); without one they are freed
+  /// before Fold returns.  Returns entries folded.  Takes fold_mu_ once
+  /// (counted by JournalMutexAcquisitions) — the journal's only mutex.
   ///
   /// `rearm_base` != 0 arms the adaptive cadence: the next WantsFold firing
   /// is scheduled clamp(growth/2, base/2, 8*base) APPENDS from now, where
@@ -371,9 +407,11 @@ class AppliedJournal {
   /// the case the fixed modulo cadence kept re-locking for.  0 keeps the
   /// legacy behaviour for direct callers (tests, recovery).
   template <typename Fn>
-  size_t Fold(uint64_t watermark, Fn&& apply, size_t rearm_base = 0) {
+  size_t Fold(uint64_t watermark, Fn&& apply, size_t rearm_base = 0,
+              Retired* retired = nullptr) {
     JournalMutexAcquisitions().fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> g(fold_mu_);
+    Retired freed_here;  // destroyed before the guard: frees under fold_mu_
     const uint64_t hi = reserved_.load(std::memory_order_acquire);
     uint64_t pos = folded_.load(std::memory_order_relaxed);
     const EntryChunk* c = head_.load(std::memory_order_relaxed);
@@ -383,13 +421,13 @@ class AppliedJournal {
         c = c->next.load(std::memory_order_acquire);
       }
       const Entry& e = c->entries[pos - c->base];
-      if (e.hts->top_component() >= watermark) break;
+      if (e.top_serial >= watermark) break;
       if (!e.aborted.load(std::memory_order_relaxed)) apply(e);
       ++pos;
       ++folded;
     }
     if (folded != 0) AdvanceFolded(pos);
-    ReleaseLimbo();
+    ReleaseLimbo(retired != nullptr ? *retired : freed_here);
     if (rearm_base != 0) {
       const uint64_t growth = hi - last_fold_reserved_;
       last_fold_reserved_ = hi;
@@ -414,9 +452,9 @@ class AppliedJournal {
     return reserved_.load(std::memory_order_acquire);
   }
   uint64_t folded() const { return folded_.load(std::memory_order_acquire); }
-  /// Chunks unlinked but not yet freed (readers were pinned).
+  /// Chunks unlinked but not yet released (readers were pinned).
   size_t LimboChunks() const;
-  /// Chunks freed after surviving limbo (the retirement path is live).
+  /// Chunks released from limbo (the retirement path is live).
   uint64_t FreedChunks() const {
     return freed_chunks_.load(std::memory_order_relaxed);
   }
@@ -436,9 +474,11 @@ class AppliedJournal {
   /// index) into limbo and refreshes the hints.  Caller holds fold_mu_ and
   /// the object's apply serialisation (no concurrent appenders).
   void AdvanceFolded(uint64_t new_folded);
-  /// Frees limbo chunks if no reader has been pinned since they were
-  /// unlinked.  Caller holds fold_mu_.
-  void ReleaseLimbo();
+  /// Moves the limbo chunks into `out` if no reader has been pinned since
+  /// they were unlinked.  Caller holds fold_mu_.
+  void ReleaseLimbo(Retired& out);
+  /// Deletes every chunk, live and limbo (destructor and Reset).
+  void FreeAllChunks();
 
   const size_t num_ops_;
   std::unique_ptr<PosList[]> lists_;  // one per OpId
@@ -458,8 +498,13 @@ class AppliedJournal {
 
   /// Fold bookkeeping only — never on the append/scan path.  Counted.
   std::mutex fold_mu_;
-  std::vector<EntryChunk*> limbo_;      // unlinked, possibly still read
-  std::vector<PosChunk*> pos_limbo_;
+  /// Limbo (guarded by fold_mu_): chunks are unlinked strictly from the
+  /// head, so the unlinked-but-possibly-still-read ones are exactly the
+  /// run from limbo_ to head_ along the untouched next pointers (likewise
+  /// PosList::limbo to its list's head).  nullptr = empty; no container,
+  /// so a fold allocates nothing.
+  EntryChunk* limbo_ = nullptr;
+  size_t limbo_chunks_ = 0;  // journal and index chunks in limbo
   std::atomic<uint64_t> freed_chunks_{0};
 };
 

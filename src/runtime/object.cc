@@ -101,6 +101,20 @@ void Object::SealRecoveredState() {
 }
 
 size_t Object::FoldPrefix(uint64_t watermark, size_t rearm_base) {
+  if (folding_.exchange(true, std::memory_order_acquire)) return 0;
+  // Destroyed in reverse order: the latch drops, the released chunks are
+  // freed, then the single-flight claim ends.
+  class Unclaim {
+   public:
+    explicit Unclaim(std::atomic<bool>& flag) : flag_(flag) {}
+    Unclaim(const Unclaim&) = delete;
+    Unclaim& operator=(const Unclaim&) = delete;
+    ~Unclaim() { flag_.store(false, std::memory_order_release); }
+
+   private:
+    std::atomic<bool>& flag_;
+  } unclaim(folding_);
+  AppliedJournal::Retired retired;
   std::lock_guard<std::shared_mutex> guard(state_mu_);
   // Folded read-only entries are retired without being applied: they
   // cannot change the base state (the OpDescriptor::read_only contract).
@@ -110,7 +124,7 @@ size_t Object::FoldPrefix(uint64_t watermark, size_t rearm_base) {
         const adt::OpDescriptor& op = spec_->OpAt(e.op_id);
         if (!op.read_only) op.apply(*base_state_, e.args);
       },
-      rearm_base);
+      rearm_base, &retired);
 }
 
 }  // namespace objectbase::rt

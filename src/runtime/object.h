@@ -156,6 +156,11 @@ class Object {
   /// retired without an apply.  Returns entries folded (read-only included).
   /// `rearm_base` != 0 arms the journal's adaptive fold cadence (see
   /// AppliedJournal::Fold); controllers pass their fold threshold.
+  ///
+  /// Single flight: while one fold runs on this object, another caller
+  /// returns 0 at once instead of queueing on state_mu (folding is
+  /// opportunistic, so a skipped fold only leaves the journal longer).
+  /// The chunks the fold releases are freed after state_mu is dropped.
   size_t FoldPrefix(uint64_t watermark, size_t rearm_base = 0);
 
   // --- WAL recovery (src/runtime/wal.h) ------------------------------------
@@ -212,6 +217,7 @@ class Object {
   std::unique_ptr<adt::AdtState> state_;
   std::unique_ptr<adt::AdtState> base_state_;  // journal base (see above)
   std::shared_mutex state_mu_;
+  std::atomic<bool> folding_{false};      // FoldPrefix single-flight claim
   std::atomic<uint64_t> apply_stamp_{0};  // NextApplyStamp ticket source
   std::unique_ptr<AppliedJournal> journal_;
   std::vector<std::vector<adt::OpId>> conflict_rows_;  // by OpId

@@ -292,6 +292,7 @@ void AppendOne(AppliedJournal& j, uint64_t top_counter) {
   r.seq = top_counter;
   r.exec_uid = top_counter;
   r.top_uid = top_counter;
+  r.top_serial = top_counter;
   r.chain = ChainOf(top_counter);
   r.hts = std::make_shared<const cc::Hts>(cc::Hts::TopLevel(top_counter));
   r.op_id = 0;

@@ -113,6 +113,9 @@ class ScriptDriver {
     r.seq = next_seq_++;
     r.top_uid = t.top_uid;
     r.dep = t.top_uid;  // opaque to the journal; any stable stamp works
+    // The production fold key; the reference folds on the hts instead, so
+    // the differential check also pins that the two agree.
+    r.top_serial = t.top_hts->top_component();
     if (rng_.Bernoulli(0.3)) {
       // A child execution: chain {child, top}, child hts.
       const uint64_t child = next_uid_++;
@@ -346,6 +349,7 @@ class MtDriver {
         r.exec_uid = top_uid;
         r.top_uid = top_uid;
         r.dep = top_uid;
+        r.top_serial = counter;
         r.chain = chain;
         r.hts = hts;
         r.op_id = static_cast<adt::OpId>(rng.Uniform(kNumOps));

@@ -2,6 +2,8 @@
 // correctness, plus validation-specific behaviours.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/adt/btree_dictionary_adt.h"
 #include "src/cc/cert_controller.h"
 #include "src/common/stats.h"
@@ -322,6 +324,50 @@ TEST(CertProtocolTest, NonLinearizableScansEscalateToExclusive) {
   }).committed);
   EXPECT_EQ(cc::CertStepExclusiveAcquisitions().load() - before, 2u)
       << "count and the counter step must both take the exclusive latch";
+}
+
+// Journal entry shape under plain CERT: each entry carries its top's
+// serial inline (the fold key) and no hts snapshot — nothing in the
+// certifier reads one, so none is allocated.  Folding is off, so every
+// entry stays to be inspected, nested steps included.
+TEST(CertProtocolTest, JournalEntriesCarryTopSerialAndNoHts) {
+  ObjectBase base;
+  base.CreateObject("d", adt::MakeBTreeDictionarySpec(4));
+  base.CreateObject("c", adt::MakeCounterSpec(0));
+  Executor exec(base, {.protocol = kP,
+                       .record = false,
+                       .journal_fold_threshold = 0});
+  ASSERT_TRUE(exec.DefineMethod("c", "add_and_put", [](MethodCtx& m) {
+    m.Local("add", {1});
+    return m.Invoke("d", "put", {m.args().at(0), m.args().at(0)});
+  }));
+  MethodRef get = exec.Resolve("d", "get");
+  MethodRef add_and_put = exec.Resolve("c", "add_and_put");
+  std::map<uint64_t, uint64_t> serial_of;  // top uid -> top serial
+  constexpr int kTxns = 12;
+  for (int i = 0; i < kTxns; ++i) {
+    TxnResult r = exec.RunTransaction("t", [&](MethodCtx& txn) {
+      serial_of[txn.node().uid()] = txn.node().hts().top_component();
+      txn.Invoke(add_and_put, {int64_t{i}});
+      return txn.Invoke(get, {int64_t{i / 2}});
+    });
+    ASSERT_TRUE(r.committed);
+  }
+  size_t entries = 0;
+  for (const char* name : {"d", "c"}) {
+    AppliedJournal::Scan scan(base.Find(name)->journal());
+    scan.ForEachLive(scan.end_pos(), [&](const AppliedJournal::Entry& e) {
+      ++entries;
+      EXPECT_EQ(e.hts, nullptr) << name << " entry at " << e.pos;
+      auto it = serial_of.find(e.top_uid);
+      EXPECT_TRUE(it != serial_of.end()) << "unknown top " << e.top_uid;
+      if (it != serial_of.end()) {
+      EXPECT_EQ(e.top_serial, it->second);
+    }
+      return true;
+    });
+  }
+  EXPECT_EQ(entries, 3u * kTxns);  // add + put + get per transaction
 }
 
 }  // namespace

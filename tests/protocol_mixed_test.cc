@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 
 #include "src/adt/btree_dictionary_adt.h"
 #include "tests/protocol_harness.h"
@@ -221,6 +222,57 @@ TEST(MixedProtocolTest, SetPolicyRejectsUnknownObjects) {
 TEST(MixedProtocolTest, PolicyNamesExposed) {
   EXPECT_STREQ(cc::IntraPolicyName(cc::IntraPolicy::kLocal2pl), "local-2pl");
   EXPECT_STREQ(cc::IntraPolicyName(cc::IntraPolicy::kCrabbing), "crabbing");
+}
+
+// MIXED's certifier keeps the hts snapshot on its journal entries (plain
+// CERT drops it): the kTimestamp admission scan compares them, so NTO's
+// rule 1 must still abort an older writer behind a younger remembered one.
+TEST(MixedProtocolTest, TimestampPolicyKeepsEntryHtsAndRule1Aborts) {
+  ObjectBase base;
+  base.CreateObject("r", adt::MakeRegisterSpec(0));
+  Executor exec(base, {.protocol = kP,
+                       .record = false,
+                       .journal_fold_threshold = 0});
+  ASSERT_TRUE(exec.SetIntraPolicy("r", cc::IntraPolicy::kTimestamp));
+  std::map<uint64_t, uint64_t> serial_of;  // top uid -> top serial
+  std::atomic<int> phase{0};
+  TxnResult older;
+  std::thread older_thread([&] {
+    older = exec.RunTransactionOnce("older", [&](MethodCtx& txn) -> Value {
+      phase.store(1);
+      while (phase.load() != 2) std::this_thread::yield();
+      // A younger transaction's write to r is remembered by now.
+      return txn.Invoke("r", "write", {1});
+    });
+  });
+  while (phase.load() != 1) std::this_thread::yield();
+  TxnResult younger = exec.RunTransaction("younger", [&](MethodCtx& txn) {
+    serial_of[txn.node().uid()] = txn.node().hts().top_component();
+    return txn.Invoke("r", "write", {2});
+  });
+  ASSERT_TRUE(younger.committed);
+  phase.store(2);
+  older_thread.join();
+  EXPECT_FALSE(older.committed);
+  EXPECT_EQ(older.last_abort, cc::AbortReason::kTimestampOrder)
+      << cc::AbortReasonName(older.last_abort);
+
+  size_t entries = 0;
+  AppliedJournal::Scan scan(base.Find("r")->journal());
+  scan.ForEachLive(scan.end_pos(), [&](const AppliedJournal::Entry& e) {
+    ++entries;
+    EXPECT_NE(e.hts, nullptr) << "entry at " << e.pos;
+    if (e.hts != nullptr) {
+      EXPECT_EQ(e.hts->top_component(), e.top_serial);
+    }
+    auto it = serial_of.find(e.top_uid);
+    EXPECT_TRUE(it != serial_of.end()) << "unknown top " << e.top_uid;
+    if (it != serial_of.end()) {
+      EXPECT_EQ(e.top_serial, it->second);
+    }
+    return true;
+  });
+  EXPECT_EQ(entries, 1u);  // the younger write; the older one never applied
 }
 
 }  // namespace
