@@ -8,12 +8,9 @@
 // blocking + deadlock aborts vs timestamp rejections vs validation aborts.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "bench/bench_util.h"
 #include "src/adt/counter_adt.h"
-#include "src/cc/lock_manager.h"
-#include "src/cc/policy_governor.h"
 #include "src/common/stats.h"
 #include "src/runtime/wal.h"
 
@@ -21,7 +18,7 @@ using namespace objectbase;  // NOLINT
 
 int main(int argc, char** argv) {
   // --bench_filter=<substr> runs only the sections whose tag contains the
-  // substring (tags: e1, e1b, e1c, e1d, e1e, e2, e2b, e3, adaptive, e5).
+  // substring (tags: e1, e1b, e1c, e1e, e2, e2b, e3, e5).
   const char* filter = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--bench_filter=", 15) == 0) {
@@ -211,63 +208,6 @@ int main(int argc, char** argv) {
               "retries as the hot\nkeys serialise; the non-blocking ones pay "
               "with rejections/validation aborts but\nkeep their step path "
               "lock-free in the registry.\n");
-
-  // --- E1d: GEMSTONE shared-read ablation ----------------------------------
-  //
-  // Read-heavy audit mix: with shared whole-object locks the baseline's
-  // audits run concurrently (the conventional read lock of the reduction);
-  // exclusive-only — the pre-overhaul behaviour — serialises them.  The
-  // gap is the price E1 comparisons would silently have charged GEMSTONE.
-  }
-
-  if (want("e1d")) {
-  bench::Banner("E1d: GEMSTONE shared-read ablation",
-                "audit-heavy banking, whole-object shared reads on vs off "
-                "(honest E1 baseline)");
-  TablePrinter gem({"shared-reads", "threads", "tput/s", "abort-ratio",
-                    "deadlock", "p99-ms"});
-  for (bool shared_reads : {false, true}) {
-    for (int threads : {1, 2, 4, 8}) {
-      workload::BankingParams p;
-      p.accounts = 16;
-      p.branches = 4;
-      p.theta = 0.4;
-      p.audit_weight = 0.6;  // read-heavy: mostly balance scans
-      p.audit_scan = 6;
-      p.spin_per_op = 5000;  // methods long enough for lock-hold to matter
-      workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-      spec.threads = threads;
-      spec.txns_per_thread = 150 * scale;
-      spec.seed = 9000 + threads;
-      workload::RunMetrics m = bench::RunOnce(
-          [&](rt::ObjectBase& base) { workload::SetupBanking(base, p); },
-          spec,
-          rt::ExecutorOptions{.protocol = rt::Protocol::kGemstone,
-                              .granularity = cc::Granularity::kOperation,
-                              .record = false,
-                              .gemstone_shared_reads = shared_reads});
-      gem.AddRow({shared_reads ? "on" : "off",
-                  TablePrinter::Fmt(int64_t{threads}),
-                  TablePrinter::Fmt(m.Throughput(), 0),
-                  TablePrinter::Fmt(m.AbortRatio(), 3),
-                  TablePrinter::Fmt(m.deadlocks),
-                  TablePrinter::Fmt(m.latency_ns.Percentile(0.99) / 1e6, 2)});
-      bench::JsonLine("gemstone_shared")
-          .Field("shared_reads", shared_reads)
-          .Field("threads", threads)
-          .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
-          .Field("throughput", m.Throughput())
-          .Field("seconds", m.seconds)
-          .Field("abort_ratio", m.AbortRatio())
-            .Field("retries", m.retries)
-          .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
-          .Emit();
-    }
-  }
-  gem.Print();
-  std::printf("Expected shape: shared reads let concurrent audits overlap, "
-              "so the on rows\nscale with threads while the off rows "
-              "serialise on the hot accounts.\n");
 
   // --- E1e: journal-scan microbench ----------------------------------------
   //
@@ -562,198 +502,6 @@ int main(int argc, char** argv) {
               "recording exclusivity on the crabbing\nB-tree (recorded "
               "dictionary runs keep scaling with threads).\n");
 
-  // --- E4: adaptive contention management ----------------------------------
-  //
-  // Two claims from docs/contention.md.  (a) The PolicyGovernor makes
-  // MIXED adaptive: on the E1c hot-key sweep, governed MIXED should beat
-  // ungoverned MIXED as skew grows — the governor flips the zipf-head
-  // objects to the locking side, trading validation aborts for blocking.
-  // The static single-protocol executors bracket the comparison: MIXED's
-  // hot path pays BOTH layers (local locks + certifier bookkeeping), so
-  // on a box where that overhead dominates, the statics stay above both
-  // MIXED rows — what the governor controls is the gap between the two
-  // MIXED rows, not MIXED's baseline cost.  (b) Wound–wait removes GEMSTONE's
-  // deadlock storm on write-heavy hot keys: age-ordered wounds replace the
-  // detect-abort-retry cycle, so deadlock aborts drop to zero while
-  // backoff sits in between.
-  }
-
-  if (want("adaptive")) {
-  bench::Banner("E4: adaptive contention sweep",
-                "zipf skew x {static N2PL, static CERT, governed MIXED} and "
-                "GEMSTONE contention policies (docs/contention.md)");
-  TablePrinter adapt({"mode", "contention", "theta", "threads", "tput/s",
-                      "abort-ratio", "flips", "p99-ms"});
-  for (double theta : {0.2, 0.6, 0.9, 0.99}) {
-    for (int threads : {4, 8}) {
-      for (int mode = 0; mode < 4; ++mode) {
-        for (cc::ContentionPolicy policy :
-             {cc::ContentionPolicy::kDetect,
-              cc::ContentionPolicy::kWoundWait}) {
-          const char* mode_name = mode == 0   ? "n2pl-static"
-                                  : mode == 1 ? "cert-static"
-                                  : mode == 2 ? "mixed-static"
-                                              : "mixed-adaptive";
-          workload::BankingParams p;
-          p.accounts = 16;
-          p.branches = 4;
-          p.theta = theta;
-          p.audit_weight = 0.1;
-          p.audit_scan = 4;
-          p.spin_per_op = 1000;  // amortise dispatch; conflicts dominate
-          workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-          spec.threads = threads;
-          spec.txns_per_thread = 800 * scale;
-          spec.seed = 23000 + threads + static_cast<int>(theta * 100);
-          workload::RunMetrics m;
-          uint64_t flips = 0;
-          {
-            rt::ObjectBase base;
-            workload::SetupBanking(base, p);
-            rt::ExecutorOptions o;
-            o.protocol = mode == 0   ? rt::Protocol::kN2pl
-                         : mode == 1 ? rt::Protocol::kCert
-                                     : rt::Protocol::kMixed;
-            o.granularity = cc::Granularity::kStep;
-            o.record = false;
-            o.contention_policy = policy;
-            rt::Executor exec(base, o);
-            std::unique_ptr<cc::PolicyGovernor> governor;
-            if (mode == 3) {
-              // Steadier than the test configs: slow EWMA, real dwell —
-              // the governor should single out the zipf head, not chase
-              // every window's noise.
-              cc::GovernorOptions gopts;
-              gopts.sample_interval_us = 1000;
-              gopts.ewma_alpha = 0.2;
-              gopts.high_watermark = 0.08;
-              gopts.low_watermark = 0.02;
-              gopts.min_dwell_samples = 8;
-              // Hot objects go to the TIMESTAMP side, not local-2pl:
-              // partially locking a MIXED object set under contention
-              // manufactures composite lock/commit-wait cycles that only
-              // the detection safety net can break (by aborting), while
-              // the timestamp admission test sheds the same hot-key
-              // conflicts early without ever blocking.
-              gopts.hot_policy = cc::IntraPolicy::kTimestamp;
-              governor = std::make_unique<cc::PolicyGovernor>(
-                  *exec.mixed(), cc::PolicyGovernor::AllObjects(base),
-                  gopts);
-              governor->Start();
-            }
-            m = workload::RunWorkload(exec, spec);
-            if (governor != nullptr) {
-              governor->Stop();
-              flips = governor->flips();
-            }
-          }
-          adapt.AddRow({mode_name, cc::ContentionPolicyName(policy),
-                        TablePrinter::Fmt(theta, 2),
-                        TablePrinter::Fmt(int64_t{threads}),
-                        TablePrinter::Fmt(m.Throughput(), 0),
-                        TablePrinter::Fmt(m.AbortRatio(), 3),
-                        TablePrinter::Fmt(flips),
-                        TablePrinter::Fmt(
-                            m.latency_ns.Percentile(0.99) / 1e6, 2)});
-          bench::JsonLine("adaptive")
-              .Field("part", "skew_sweep")
-              .Field("mode", mode_name)
-              .Field("theta", theta)
-              .Field("threads", threads)
-              .Field("contention", cc::ContentionPolicyName(policy))
-              .Field("ns_per_op",
-                     m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
-              .Field("throughput", m.Throughput())
-              .Field("seconds", m.seconds)
-              .Field("abort_ratio", m.AbortRatio())
-              .Field("retries", m.retries)
-              .Field("flips", flips)
-              .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
-              .Emit();
-        }
-      }
-    }
-  }
-  adapt.Print();
-  std::printf("Expected shape: mixed-adaptive >= mixed-static as theta "
-              "grows (flips move the\nzipf head to the locking side); the "
-              "static executors bound both MIXED rows from\nabove wherever "
-              "MIXED's two-layer overhead dominates.\n\n");
-
-  // (b) GEMSTONE's write-heavy hot-key deadlock storm under the three
-  // contention policies.  Whole-object exclusive locks + zipf writes is
-  // the adversarial case detection handles worst: every conflict is a
-  // potential two-holder cycle, and the PR-4 faster-admission fix made
-  // the storm measurable rather than rare.
-  TablePrinter storm({"policy", "threads", "tput/s", "abort-ratio",
-                      "deadlock", "wounds", "backoffs", "p99-ms"});
-  for (cc::ContentionPolicy policy :
-       {cc::ContentionPolicy::kDetect, cc::ContentionPolicy::kBackoff,
-        cc::ContentionPolicy::kWoundWait}) {
-    for (int threads : {2, 4, 8}) {
-      workload::BankingParams p;
-      p.accounts = 8;
-      p.branches = 2;
-      p.theta = 0.9;
-      p.audit_weight = 0.1;  // write-heavy: transfers dominate
-      p.audit_scan = 4;
-      p.spin_per_op = 2000;  // hold locks long enough for cycles to form
-      workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-      spec.threads = threads;
-      // Long enough that the storm reliably seeds at 8 threads: short
-      // runs are bimodal on a timeshared box (the bad interleave either
-      // happens early or the run ends clean), which flips the policy
-      // comparison run to run.
-      spec.txns_per_thread = 600 * scale;
-      spec.seed = 29000 + threads;
-      const uint64_t backoffs_before =
-          cc::DeadlockVictimBackoffs().load(std::memory_order_relaxed);
-      workload::RunMetrics m = bench::RunOnce(
-          [&](rt::ObjectBase& base) { workload::SetupBanking(base, p); },
-          spec,
-          rt::ExecutorOptions{.protocol = rt::Protocol::kGemstone,
-                              .granularity = cc::Granularity::kOperation,
-                              .record = false,
-                              .contention_policy = policy});
-      const uint64_t backoffs =
-          cc::DeadlockVictimBackoffs().load(std::memory_order_relaxed) -
-          backoffs_before;
-      storm.AddRow({cc::ContentionPolicyName(policy),
-                    TablePrinter::Fmt(int64_t{threads}),
-                    TablePrinter::Fmt(m.Throughput(), 0),
-                    TablePrinter::Fmt(m.AbortRatio(), 3),
-                    TablePrinter::Fmt(m.deadlocks),
-                    TablePrinter::Fmt(m.wounds),
-                    TablePrinter::Fmt(backoffs),
-                    TablePrinter::Fmt(m.latency_ns.Percentile(0.99) / 1e6,
-                                      2)});
-      bench::JsonLine("adaptive")
-          .Field("part", "gemstone_storm")
-          .Field("mode", "gemstone")
-          .Field("theta", 0.9)
-          .Field("threads", threads)
-          .Field("contention", cc::ContentionPolicyName(policy))
-          .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
-          .Field("throughput", m.Throughput())
-          .Field("seconds", m.seconds)
-          .Field("abort_ratio", m.AbortRatio())
-          .Field("retries", m.retries)
-          .Field("deadlocks", m.deadlocks)
-          .Field("wounds", m.wounds)
-          .Field("backoffs", backoffs)
-          .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
-          .Emit();
-    }
-  }
-  storm.Print();
-  std::printf("Expected shape: backoff wins only while cycles are rare — in "
-              "a persistent storm\nits victims sleep while holding locks and "
-              "convoy everyone (worst tput, p99 in\nthe tens of ms).  "
-              "Wound-wait turns waits into wound churn: lowest-but-stable\n"
-              "tput, deadlock aborts at-or-below detect, and the tightest "
-              "p99 (bounded\nwaiting -- age retention keeps every wounded "
-              "txn finishing).  Detect is bimodal\non a timeshared box: "
-              "clean until the storm seeds, then an abort cliff.\n");
   }
 
   if (want("e5")) {

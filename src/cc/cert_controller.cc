@@ -118,7 +118,6 @@ OpOutcome CertController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
                     op.id, args, applied.ret);
   }
   bool doomed = false;
-  bool saw_conflict = false;
   {
     rt::AppliedJournal::Scan scan(obj.journal());
     uint64_t last_dep = 0;  // consecutive same-writer entries: one edge
@@ -136,17 +135,11 @@ OpOutcome CertController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
           if (e.top_uid != my_top) {
             if (e.dep != last_dep) {
               last_dep = e.dep;
-              // Telemetry: only edges on LIVE rivals count as contention —
-              // settled history conflicts with every later scan by design.
-              if (deps_.IsUnfinished(DepRef::FromRaw(e.dep))) {
-                saw_conflict = true;
-              }
               deps_.AddDependency(DepRef::FromRaw(e.dep), my_ref);
               // Abort-marking recheck (docs/journal.md): a writer that
               // aborted while we raced here may have retired its slot
               // before the edge landed; its marking is visible by now.
               if (e.IsAborted()) {
-                saw_conflict = true;
                 doomed = true;
                 return false;
               }
@@ -154,19 +147,12 @@ OpOutcome CertController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
           } else {
             // Parallel siblings of one transaction racing on the object:
             // genuine intra-transaction contention.
-            saw_conflict = true;
             SiblingStripe& stripe = StripeFor(my_top);
             std::lock_guard<std::mutex> sg(stripe.mu);
             stripe.edges[my_top].push_back(SiblingEdge{*e.chain, chain});
           }
           return true;
         });
-  }
-  if (saw_conflict) {
-    // Telemetry only (one relaxed RMW per conflicting step, nothing on the
-    // conflict-free path): the governor reads this to find objects whose
-    // optimistic scans keep meeting incomparable rivals.
-    obj.contention().journal_conflicts.fetch_add(1, std::memory_order_relaxed);
   }
   if (doomed) return OpOutcome::Abort(AbortReason::kDoomed);
   return OpOutcome::Ok(std::move(applied.ret));

@@ -41,11 +41,12 @@ enum class AbortReason {
   kUser,            ///< Application-requested Abort (Section 3).
   kInjected,        ///< Fault injection in tests/benches (E7).
   kWounded,         ///< Wound–wait: an older transaction claimed our lock.
+  kCommitTimeout,   ///< Cross-shard commit-wait poll budget expired.
 };
 
 /// Number of AbortReason values (sizes per-reason stat arrays).
 inline constexpr size_t kNumAbortReasons =
-    static_cast<size_t>(AbortReason::kWounded) + 1;
+    static_cast<size_t>(AbortReason::kCommitTimeout) + 1;
 
 const char* AbortReasonName(AbortReason r);
 

@@ -18,6 +18,7 @@ const char* AbortReasonName(AbortReason r) {
     case AbortReason::kUser: return "user";
     case AbortReason::kInjected: return "injected";
     case AbortReason::kWounded: return "wounded";
+    case AbortReason::kCommitTimeout: return "commit-timeout";
   }
   return "?";
 }
@@ -144,13 +145,6 @@ bool DependencyGraph::IsDoomed(DepRef t) const {
   if (!t.valid()) return false;
   const uint64_t w = SlotAt(t.slot()).word.load(std::memory_order_relaxed);
   return WordGen(w) == t.gen() && WordDoomed(w);
-}
-
-bool DependencyGraph::IsUnfinished(DepRef t) const {
-  if (!t.valid()) return false;
-  const uint64_t w = SlotAt(t.slot()).word.load(std::memory_order_relaxed);
-  if (WordGen(w) != t.gen()) return false;  // retired => finished
-  return !StatusFinished(WordStatus(w));
 }
 
 bool DependencyGraph::DoomIfLive(DepRef t) {

@@ -122,13 +122,6 @@ class DependencyGraph {
   /// step.
   bool IsDoomed(DepRef t) const;
 
-  /// True iff `t` refers to a transaction that is still in flight (not yet
-  /// committed or aborted).  One relaxed atomic load; stale handles read
-  /// as finished.  Telemetry uses this to distinguish conflict edges on
-  /// LIVE rivals (real contention) from edges on settled history, which
-  /// every optimistic scan meets even when running alone.
-  bool IsUnfinished(DepRef t) const;
-
   /// Explicitly dooms a transaction (fault injection, validation).
   void Doom(DepRef t);
 

@@ -5,9 +5,8 @@
 
 namespace objectbase::cc {
 
-GemstoneController::GemstoneController(rt::Recorder& recorder,
-                                       bool shared_reads)
-    : recorder_(recorder), shared_reads_(shared_reads) {}
+GemstoneController::GemstoneController(rt::Recorder& recorder)
+    : recorder_(recorder) {}
 
 void GemstoneController::OnTopBegin(rt::TxnNode&) {}
 
@@ -19,7 +18,7 @@ OpOutcome GemstoneController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
   // the user transaction reads/writes it).  Read-only operations are the
   // reduction's reads: a shared lock; anything else writes: exclusive.
   LockManager::Request req;
-  if (shared_reads_ && op.read_only) {
+  if (op.read_only) {
     req.shared = true;
   } else {
     req.exclusive = true;

@@ -18,8 +18,7 @@
 // serialised per object, so at most one method execution mutates an object
 // at any time.  Deadlocks are detected on the waits-for graph.  This is
 // the baseline every experiment compares against (E1, E6) — shared read
-// locks keep it honest on read-heavy mixes (`shared_reads=false` restores
-// the old exclusive-only behaviour for the E1d ablation).
+// locks keep it honest on read-heavy mixes.
 #ifndef OBJECTBASE_CC_GEMSTONE_CONTROLLER_H_
 #define OBJECTBASE_CC_GEMSTONE_CONTROLLER_H_
 
@@ -34,7 +33,7 @@ namespace objectbase::cc {
 
 class GemstoneController : public Controller {
  public:
-  explicit GemstoneController(rt::Recorder& recorder, bool shared_reads = true);
+  explicit GemstoneController(rt::Recorder& recorder);
 
   const char* name() const override { return "GEMSTONE"; }
 
@@ -56,7 +55,6 @@ class GemstoneController : public Controller {
 
  private:
   rt::Recorder& recorder_;
-  const bool shared_reads_;  // read-only ops take shared whole-object locks
   LockManager locks_;
 };
 

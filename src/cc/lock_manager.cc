@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <thread>
 
 #include "src/common/thread_slot.h"
 #include "src/runtime/object.h"
@@ -28,11 +27,6 @@ std::atomic<uint64_t>& LockParkTimeouts() {
   return count;
 }
 
-std::atomic<uint64_t>& DeadlockVictimBackoffs() {
-  static std::atomic<uint64_t> count{0};
-  return count;
-}
-
 std::atomic<uint64_t>& WoundsIssued() {
   static std::atomic<uint64_t> count{0};
   return count;
@@ -41,7 +35,6 @@ std::atomic<uint64_t>& WoundsIssued() {
 const char* ContentionPolicyName(ContentionPolicy p) {
   switch (p) {
     case ContentionPolicy::kDetect: return "detect";
-    case ContentionPolicy::kBackoff: return "backoff";
     case ContentionPolicy::kWoundWait: return "wound-wait";
   }
   return "?";
@@ -50,33 +43,6 @@ const char* ContentionPolicyName(ContentionPolicy p) {
 namespace {
 
 std::atomic<uint64_t> next_manager_id{1};
-
-// Capped exponential jitter for deadlock-victim backoff, from a cheap
-// thread-local xorshift (no shared RNG state on this path).  Round r sleeps
-// a uniform draw from [span/2, span] where span = min(32 << r, 256) µs —
-// the same shape as the workload runner's top-level retry backoff, but at
-// lock-request granularity.  The cap is deliberately tight: a backoff
-// victim sleeps while still HOLDING its other locks, so long sleeps
-// convert one detected cycle into a convoy behind the sleeper.
-constexpr int kMaxBackoffRounds = 6;
-
-void BackoffSleep(int round) {
-  static thread_local uint64_t rng_state = 0;
-  if (rng_state == 0) {
-    rng_state = 0x9e3779b97f4a7c15ULL ^
-                ((ThisThreadKey() + 1) * 0xbf58476d1ce4e5b9ULL);
-  }
-  uint64_t x = rng_state;
-  x ^= x >> 12;
-  x ^= x << 25;
-  x ^= x >> 27;
-  rng_state = x;
-  const uint64_t r = x * 0x2545F4914F6CDD1DULL;
-  const uint64_t span =
-      std::min<uint64_t>(256, uint64_t{32} << std::min(round, 6));
-  const uint64_t us = span / 2 + r % (span / 2 + 1);
-  std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
 
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -473,21 +439,6 @@ LockManager::Outcome LockManager::WaitForGrantLocked(
     registered = true;
   };
   if (register_immediately) register_waiter();
-  // Contention telemetry: one conflict per blocked request, wait time
-  // charged on exit.  Bumped only on the blocked path — the uncontended
-  // grant never touches the clock.
-  bool counted_block = false;
-  std::chrono::steady_clock::time_point blocked_at;
-  auto charge_wait = [&] {
-    if (!counted_block) return;
-    const auto waited = std::chrono::steady_clock::now() - blocked_at;
-    obj.contention().wait_ns.fetch_add(
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                .count()),
-        std::memory_order_relaxed);
-  };
-  int backoff_rounds = 0;
   // Transient-cycle parks are bounded: with the wound hook in place every
   // wounded member eventually unwinds and signals us, so the bound is a
   // liveness backstop (wake-rule gap, not an expected path), after which
@@ -500,20 +451,13 @@ LockManager::Outcome LockManager::WaitForGrantLocked(
       // departure may unblock waiters queued behind us.
       if (registered) UnregisterWaiterLocked(table, waiter);
       WakeWaitersLocked(table, /*wake_all=*/false, nullptr);
-      charge_wait();
       return Outcome::kWounded;
     }
     std::vector<uint64_t> blockers = BlockersLocked(
         table, txn, obj, req, registered ? waiter.seq : UINT64_MAX);
     if (blockers.empty()) {
       if (registered) UnregisterWaiterLocked(table, waiter);
-      charge_wait();
       return Outcome::kGranted;
-    }
-    if (!counted_block) {
-      counted_block = true;
-      blocked_at = std::chrono::steady_clock::now();
-      obj.contention().lock_conflicts.fetch_add(1, std::memory_order_relaxed);
     }
     if (policy == ContentionPolicy::kWoundWait) {
       WoundYoungerHoldersLocked(table, txn, obj, req);
@@ -561,25 +505,8 @@ LockManager::Outcome LockManager::WaitForGrantLocked(
         continue;
       }
       UnregisterWaiterLocked(table, waiter);
-      registered = false;
       // Our departure may unblock waiters queued behind us.
       WakeWaitersLocked(table, /*wake_all=*/false, nullptr);
-      if (policy == ContentionPolicy::kBackoff &&
-          backoff_rounds < kMaxBackoffRounds) {
-        // Victim backoff: most detected cycles are transient (fairness-
-        // queue edges, in-flight releases).  Leave the queue, sleep a
-        // jittered interval, re-request from the BACK of the fairness
-        // queue (a fresh seq) — re-queueing is what dissolves
-        // fairness-edge cycles.  A real lock cycle survives every round
-        // and aborts below, so detection is delayed, never disabled.
-        ++backoff_rounds;
-        DeadlockVictimBackoffs().fetch_add(1, std::memory_order_relaxed);
-        g.unlock();
-        BackoffSleep(backoff_rounds - 1);
-        g.lock();
-        continue;
-      }
-      charge_wait();
       return Outcome::kDeadlock;
     }
     waiter.signal.store(0, std::memory_order_relaxed);

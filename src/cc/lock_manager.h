@@ -70,11 +70,6 @@ std::atomic<uint64_t>& LockWaiterWakeups();
 /// covered scenarios).
 std::atomic<uint64_t>& LockParkTimeouts();
 
-/// Process-wide count of deadlock-victim backoff rounds taken under
-/// ContentionPolicy::kBackoff (each round: leave the wait queue, sleep a
-/// capped jittered interval, re-request).  A `detect` run must not move it.
-std::atomic<uint64_t>& DeadlockVictimBackoffs();
-
 /// Process-wide count of wounds issued under ContentionPolicy::kWoundWait
 /// (an older requester marking a younger lock holder for abort).  At most
 /// one per (wounder, victim-node) pair — the flag is idempotent.
@@ -84,13 +79,6 @@ std::atomic<uint64_t>& WoundsIssued();
 ///
 ///   kDetect    — PR-3 behaviour: a waits-for cycle aborts the requester
 ///                (AbortReason::kDeadlock), retried from the top.
-///   kBackoff   — deadlock victims first leave the wait queue, back off
-///                with capped exponential jitter, and re-request (the
-///                `backoff/` parking-mutex idiom).  Many detected "cycles"
-///                are transient — fairness-queue edges and in-flight
-///                releases — and dissolve on retry; a real 2PL cycle still
-///                aborts once the bounded round budget is spent, so the
-///                waits-for safety net is never disabled.
 ///   kWoundWait — age ordering by hierarchical timestamp: when an OLDER
 ///                top-level transaction (smaller hts top component) blocks
 ///                on a lock held by a YOUNGER one, the younger holder is
@@ -101,7 +89,7 @@ std::atomic<uint64_t>& WoundsIssued();
 ///                top.  Younger requesters wait as usual.  Cycle detection
 ///                stays on as a safety net (wounds are observed lazily;
 ///                MIXED's cross-layer commit-waits still need it).
-enum class ContentionPolicy { kDetect, kBackoff, kWoundWait };
+enum class ContentionPolicy { kDetect, kWoundWait };
 
 const char* ContentionPolicyName(ContentionPolicy p);
 

@@ -105,13 +105,7 @@ OpOutcome MixedController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
               return true;
             });
       }
-      if (ts_reject) {
-        // Telemetry: the certifier below never sees this admission reject,
-        // so charge the journal conflict here (relaxed, abort path only).
-        obj.contention().journal_conflicts.fetch_add(
-            1, std::memory_order_relaxed);
-        return OpOutcome::Abort(AbortReason::kTimestampOrder);
-      }
+      if (ts_reject) return OpOutcome::Abort(AbortReason::kTimestampOrder);
       return certifier_.ExecuteLocal(txn, obj, op, args);
     }
     case IntraPolicy::kOptimistic:

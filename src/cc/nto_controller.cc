@@ -68,7 +68,6 @@ OpOutcome NtoController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
     // executing (Section 5.2's first implementation).  Lock-free scan.
     bool ts_reject = false;
     bool doomed = false;
-    bool saw_conflict = false;
     {
       rt::AppliedJournal::Scan scan(obj.journal());
       uint64_t last_dep = 0;  // consecutive same-writer entries: one edge
@@ -78,35 +77,23 @@ OpOutcome NtoController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
             if (e.IsAborted()) return true;
             if (!e.IncomparableWith(chain)) return true;  // rule 1: kin
             if (*e.hts > my_hts) {
-              saw_conflict = true;
               ts_reject = true;
               return false;
             }
             if (e.top_uid != my_top && e.dep != last_dep) {
               last_dep = e.dep;
-              // Telemetry: only edges on LIVE rivals count as contention —
-              // settled history conflicts with every later scan by design.
-              if (deps_.IsUnfinished(DepRef::FromRaw(e.dep))) {
-                saw_conflict = true;
-              }
               deps_.AddDependency(DepRef::FromRaw(e.dep), my_ref);
               // Abort-marking/edge-recording recheck (docs/journal.md): if
               // the writer aborted while we raced here, its slot may have
               // retired before our edge landed — the marking is visible by
               // now, so observing it closes the cascade window.
               if (e.IsAborted()) {
-                saw_conflict = true;
                 doomed = true;
                 return false;
               }
             }
             return true;
           });
-    }
-    if (saw_conflict) {
-      // Telemetry only, relaxed, nothing on the conflict-free path.
-      obj.contention().journal_conflicts.fetch_add(1,
-                                                   std::memory_order_relaxed);
     }
     if (ts_reject) return OpOutcome::Abort(AbortReason::kTimestampOrder);
     if (doomed) return OpOutcome::Abort(AbortReason::kDoomed);
@@ -122,7 +109,6 @@ OpOutcome NtoController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
   adt::ApplyResult provisional = op.apply(obj.state(), args);
   bool ts_reject = false;
   bool doomed = false;
-  bool saw_conflict = false;
   {
     rt::AppliedJournal::Scan scan(obj.journal());
     uint64_t last_dep = 0;  // consecutive same-writer entries: one edge
@@ -136,29 +122,19 @@ OpOutcome NtoController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
           adt::StepView second{op.name, &args, &provisional.ret, op.id};
           if (!obj.spec().StepConflicts(first, second)) return true;
           if (*e.hts > my_hts) {
-            saw_conflict = true;
             ts_reject = true;
             return false;
           }
           if (e.top_uid != my_top && e.dep != last_dep) {
             last_dep = e.dep;
-            // Live rivals only — see the operation-mode scan.
-            if (deps_.IsUnfinished(DepRef::FromRaw(e.dep))) {
-              saw_conflict = true;
-            }
             deps_.AddDependency(DepRef::FromRaw(e.dep), my_ref);
             if (e.IsAborted()) {  // recheck, see above
-              saw_conflict = true;
               doomed = true;
               return false;
             }
           }
           return true;
         });
-  }
-  if (saw_conflict) {
-    // Telemetry only, relaxed, nothing on the conflict-free path.
-    obj.contention().journal_conflicts.fetch_add(1, std::memory_order_relaxed);
   }
   if (ts_reject || doomed) {
     if (provisional.undo) provisional.undo(obj.state());

@@ -228,9 +228,10 @@ bool ShardedController::CommitCrossShard(rt::TxnNode& top, uint64_t touched,
     if (all_ok) break;
     if (std::chrono::steady_clock::now() >= deadline) {
       // Conservative resolution of multi-hop cycles threading through
-      // single-shard tops (see the header): abort, never commit.
+      // single-shard tops (see the header): abort, never commit.  No cycle
+      // was seen, so this is reported as a timeout, not a deadlock.
       poll_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      return fail(AbortReason::kDeadlock);
+      return fail(AbortReason::kCommitTimeout);
     }
     std::this_thread::sleep_for(std::chrono::microseconds(20));
   }

@@ -33,8 +33,9 @@
 //     several shards' edges — then every transaction on it is stuck
 //     waiting, and (i) cycles among cross-shard committers are detected
 //     structurally by the commit registry below, (ii) anything else trips
-//     the bounded poll budget and aborts kDeadlock (conservative: a timeout
-//     may abort a merely-slow transaction, never commit a cyclic one).
+//     the bounded poll budget and aborts kCommitTimeout (conservative: a
+//     timeout may abort a merely-slow transaction, never commit a cyclic
+//     one — hence not kDeadlock, since no cycle was seen).
 //
 // Cross-shard commit registry: each cross-shard top publishes its
 // unfinished-predecessor set before polling.  A cycle restricted to
@@ -127,7 +128,7 @@ class ShardedController : public Controller {
   Shard& shard(uint32_t s) { return shards_[s]; }
 
   /// Cross-shard commit-wait poll budget (µs); after it, the committer
-  /// aborts kDeadlock (the conservative multi-hop cycle resolution).
+  /// aborts kCommitTimeout (the conservative multi-hop cycle resolution).
   /// Tests shrink it to keep constructed-cycle runs fast.
   void SetCommitPollBudgetUs(uint64_t us) { poll_budget_us_ = us; }
 

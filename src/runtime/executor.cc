@@ -64,8 +64,7 @@ BuiltController BuildController(const ExecutorOptions& o, Recorder& recorder,
       break;
     }
     case Protocol::kGemstone: {
-      auto c = std::make_unique<cc::GemstoneController>(
-          recorder, o.gemstone_shared_reads);
+      auto c = std::make_unique<cc::GemstoneController>(recorder);
       b.locks = &c->lock_manager();
       b.controller = std::move(c);
       break;
@@ -248,12 +247,8 @@ MethodRef Executor::Resolve(ObjectHandle object, const std::string& method) {
 bool Executor::SetIntraPolicy(const std::string& object,
                               cc::IntraPolicy policy) {
   Object* obj = base_.Find(object);
-  if (obj == nullptr) return false;
-  return SetIntraPolicy(obj->id(), policy);
-}
-
-bool Executor::SetIntraPolicy(uint32_t object_id, cc::IntraPolicy policy) {
-  if (mixed_ == nullptr) return false;
+  if (obj == nullptr || mixed_ == nullptr) return false;
+  const uint32_t object_id = obj->id();
   if (!shard_mixeds_.empty()) {
     // Sharded MIXED: the object lives on exactly one shard, but policy maps
     // are per-instance and cheap — keep them all in agreement so routing
@@ -296,10 +291,10 @@ TxnResult Executor::RunTransaction(const std::string& name, MethodFn body) {
     result = r;
     result.attempts = attempt;
     if (r.committed) return result;
-    stats_.retries.fetch_add(1);
     // Quadratic backoff: a deterministic 20·a² µs (capped at 1 ms) after
     // attempt a, with no jitter — colliding retries sleep the same amount.
     if (attempt < options_.max_top_retries) {
+      stats_.retries.fetch_add(1);
       int us = std::min(20 * attempt * attempt, 1000);
       std::this_thread::sleep_for(std::chrono::microseconds(us));
     }
@@ -465,15 +460,8 @@ void Executor::AbortSubtree(TxnNode& node, cc::AbortReason reason) {
               }
               return a->seq > b->seq;
             });
-  Object* last_charged = nullptr;
   for (UndoRecord* u : undos) {
     if (!u->undo) continue;
-    if (u->object != last_charged) {
-      // Contention telemetry: one abort per (subtree, object) touched —
-      // records are sorted by object, so the boundary test suffices.
-      u->object->contention().aborts.fetch_add(1, std::memory_order_relaxed);
-      last_charged = u->object;
-    }
     std::lock_guard<std::shared_mutex> g(u->object->state_mu());
     u->undo(u->object->state());
     u->undo = nullptr;  // idempotence if the subtree aborts again
@@ -592,9 +580,6 @@ Value MethodCtx::Local(const adt::OpDescriptor& op, Args args) {
     // The environment has no variables (Definition 1).
     throw Executor::AbortSignal{cc::AbortReason::kUser};
   }
-  // Contention telemetry: attempted local steps (the governor's rate
-  // denominator).  Relaxed add — no ordering, no mutex.
-  object_->contention().steps.fetch_add(1, std::memory_order_relaxed);
   cc::OpOutcome out =
       exec_.controller_->ExecuteLocal(node_, *object_, op, args);
   if (!out.ok) throw Executor::AbortSignal{out.reason};

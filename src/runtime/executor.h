@@ -86,13 +86,9 @@ struct ExecutorOptions {
   /// guaranteed to take zero journal mutexes (the folds are the only
   /// locking the journal ever does; see rt::JournalMutexAcquisitions).
   size_t journal_fold_threshold = 64;
-  /// GEMSTONE: read-only operations take shared whole-object locks (the
-  /// conventional read lock of the reduction); off = the old
-  /// exclusive-only baseline (E1d ablation).
-  bool gemstone_shared_reads = true;
   /// Blocking-request behaviour for the locking protocols
-  /// (N2PL/GEMSTONE/MIXED-kLocal2pl): abort deadlock victims (kDetect),
-  /// back off and retry (kBackoff), or wound younger holders (kWoundWait).
+  /// (N2PL/GEMSTONE/MIXED-kLocal2pl): abort deadlock victims (kDetect) or
+  /// wound younger holders (kWoundWait).
   /// See cc::ContentionPolicy.
   cc::ContentionPolicy contention_policy = cc::ContentionPolicy::kDetect;
   /// Write-ahead durability (docs/durability.md).  kGroup requires
@@ -153,10 +149,10 @@ struct TxnResult {
   cc::AbortReason last_abort = cc::AbortReason::kNone;
   int attempts = 0;
   /// The environment serial this attempt's top-level hts was built from
-  /// (wound-wait's age).  Pass it back as `age_token` on the retry of a
-  /// WOUNDED transaction: classic wound-wait liveness requires the victim
-  /// to keep its original timestamp across restarts, so it ages toward
-  /// oldest instead of re-entering ever younger (and ever more woundable —
+  /// (wound-wait's age).  RunTransaction passes it back on the retry of a
+  /// WOUNDED attempt: classic wound-wait liveness requires the victim to
+  /// keep its original timestamp across restarts, so it ages toward oldest
+  /// instead of re-entering ever younger (and ever more woundable —
   /// fresh-stamped retries livelock under a sustained storm).
   uint64_t age_token = 0;
 };
@@ -199,14 +195,10 @@ class Executor {
   /// or the protocol is not kMixed.
   bool SetIntraPolicy(const std::string& object, cc::IntraPolicy policy);
 
-  /// By-id overload for the policy governor's sampling loop (no name
-  /// lookup); same mid-run safety as the by-name form.
-  bool SetIntraPolicy(uint32_t object_id, cc::IntraPolicy policy);
-
-  /// The MIXED controller, or nullptr for other protocols (lets the
-  /// policy governor read current policies and count flips).  Under a
-  /// sharded topology this is shard 0's instance; SetIntraPolicy fans a
-  /// policy change out to every shard.
+  /// The MIXED controller, or nullptr for other protocols (read-only
+  /// inspection of the current policies).  Under a sharded topology this
+  /// is shard 0's instance; SetIntraPolicy fans a policy change out to
+  /// every shard.
   cc::MixedController* mixed() { return mixed_; }
 
   /// The sharded routing layer, or nullptr when the base has one shard
@@ -219,12 +211,14 @@ class Executor {
   /// until the first parallel batch.
   BranchPool& branch_pool() { return branch_pool_; }
 
-  /// Runs a top-level transaction (with retries on abort).  Retries after
-  /// a wound reuse the first attempt's age (see TxnResult::age_token).
+  /// Runs a top-level transaction, retrying on abort up to
+  /// `max_top_retries` attempts with a deterministic 20·a² µs backoff
+  /// (capped at 1 ms) between them.  Retries after a wound reuse the
+  /// first attempt's age (see TxnResult::age_token).  This is the one
+  /// retry loop: the workload runners and perfbench all go through it.
   TxnResult RunTransaction(const std::string& name, MethodFn body);
 
-  /// Single attempt, no retry (tests that assert on specific aborts, and
-  /// callers owning their own retry loop — the workload runner).  A
+  /// Single attempt, no retry (tests that assert on specific aborts).  A
   /// non-zero `age_token` pins the top's environment serial instead of
   /// drawing a fresh one; pass a previous result's token only when that
   /// attempt was wounded (timestamp-ordering aborts want a FRESH stamp —
@@ -264,7 +258,7 @@ class Executor {
   struct Stats {
     std::atomic<uint64_t> committed{0};
     std::atomic<uint64_t> aborted{0};   ///< Top-level aborts (incl. retried).
-    std::atomic<uint64_t> retries{0};
+    std::atomic<uint64_t> retries{0};   ///< Re-attempts after an abort.
     std::array<std::atomic<uint64_t>, cc::kNumAbortReasons> aborts_by_reason{};
 
     /// Sharded topologies only: commits by home shard, with cross-shard

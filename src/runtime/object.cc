@@ -68,7 +68,6 @@ void Object::AbortEntriesAndRebuild(
     const std::function<bool(uint64_t dep_raw)>& exclude_dep) {
   std::lock_guard<std::shared_mutex> guard(state_mu_);
   if (!journal_->MarkSubtreeAborted(subtree_root_uid)) return;
-  contention_.aborts.fetch_add(1, std::memory_order_relaxed);
   // Doom every dependent transaction BEFORE replaying (see the header
   // note): the doom pass runs under this object's exclusive latch, so any
   // step that observed the excised effects has already recorded its edge —

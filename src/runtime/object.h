@@ -24,34 +24,6 @@
 
 namespace objectbase::rt {
 
-/// Per-object contention telemetry: monotone relaxed counters bumped on
-/// the hot paths (no mutexes, no fences — the step-path zero-mutex
-/// invariant tests still hold with telemetry on).  Consumers (the policy
-/// governor, benches) sample deltas per window and smooth with an EWMA on
-/// their side; single-writer-per-sample keeps the readout race-free.
-struct ContentionTelemetry {
-  /// Local steps admitted on this object (any protocol).
-  std::atomic<uint64_t> steps{0};
-  /// Lock requests that blocked (first block per request) — the locking
-  /// protocols' conflict signal.
-  std::atomic<uint64_t> lock_conflicts{0};
-  /// Conflict dependencies observed by the journal scans (NTO/CERT/MIXED)
-  /// — the optimistic protocols' conflict signal.
-  std::atomic<uint64_t> journal_conflicts{0};
-  /// Aborted subtrees whose rollback touched this object.
-  std::atomic<uint64_t> aborts{0};
-  /// Nanoseconds lock requests spent blocked on this object.
-  std::atomic<uint64_t> wait_ns{0};
-
-  void Reset() {
-    steps.store(0, std::memory_order_relaxed);
-    lock_conflicts.store(0, std::memory_order_relaxed);
-    journal_conflicts.store(0, std::memory_order_relaxed);
-    aborts.store(0, std::memory_order_relaxed);
-    wait_ns.store(0, std::memory_order_relaxed);
-  }
-};
-
 class Object {
  public:
   Object(uint32_t id, std::string name,
@@ -199,10 +171,6 @@ class Object {
   /// Publishes the (manager, table) pair; idempotent per manager.
   void CacheLockTable(uint64_t manager_id, void* table);
 
-  /// Contention telemetry (relaxed atomics; see ContentionTelemetry).
-  ContentionTelemetry& contention() { return contention_; }
-  const ContentionTelemetry& contention() const { return contention_; }
-
  private:
   struct LockTableCacheNode {
     uint64_t manager_id;
@@ -224,7 +192,6 @@ class Object {
   // CAS-pushed singly linked list, one node per caching lock manager
   // (almost always exactly one); freed by the destructor.
   std::atomic<LockTableCacheNode*> lock_table_cache_{nullptr};
-  ContentionTelemetry contention_;
 };
 
 }  // namespace objectbase::rt

@@ -54,9 +54,10 @@ class ObjectBase {
 
 /// ObjectBase partitioned across N shards (docs/sharding.md).  Placement is
 /// `id % shards` by default — CreateObject stamps each object's home shard
-/// as it is created — with per-object overrides via PinObject (the policy
-/// governor's hot-object pinning uses this).  Placement is fixed before
-/// execution starts; nothing here is thread-safe, matching CreateObject.
+/// as it is created — with per-object overrides via PinObject (co-locating
+/// objects that are usually touched together keeps their transactions off
+/// the cross-shard commit path).  Placement is fixed before execution
+/// starts; nothing here is thread-safe, matching CreateObject.
 class ShardedBase : public ObjectBase {
  public:
   /// `shards` is clamped to [1, kMaxShards].

@@ -1,11 +1,9 @@
 #include "src/workload/runner.h"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
+#include <utility>
 
 namespace objectbase::workload {
 
@@ -32,14 +30,6 @@ RunMetrics RunWorkload(rt::Executor& exec, const WorkloadSpec& spec) {
   Stopwatch clock;  // Reset just before release, under latch_mu.
   std::atomic<uint64_t> last_done_ns{0};
 
-  // Admission-gate window: attempts/aborts across ALL workers, decayed by
-  // halving so the ratio tracks the recent past rather than the whole run.
-  // Heuristic counters — relaxed, and the decay may lose a racing
-  // increment, which only nudges the ratio for one window.
-  std::atomic<uint64_t> win_attempts{0};
-  std::atomic<uint64_t> win_aborts{0};
-  constexpr uint64_t kAdmissionWindow = 4096;
-
   // Workers run on the executor's branch pool (dedicated mode: one
   // whole-run task per worker, the dispatching thread only waits).
   // EnsureWorkers guarantees a free pool thread per worker task, so every
@@ -53,7 +43,6 @@ RunMetrics RunWorkload(rt::Executor& exec, const WorkloadSpec& spec) {
       Histogram local_latency;
       uint64_t local_gave_up = 0;
       uint64_t local_retries = 0;
-      uint64_t local_throttled = 0;
       std::vector<double> w = weights;
       {
         std::unique_lock<std::mutex> l(latch_mu);
@@ -67,74 +56,14 @@ RunMetrics RunWorkload(rt::Executor& exec, const WorkloadSpec& spec) {
         }
       }
       for (uint64_t i = 0; i < spec.txns_per_thread; ++i) {
-        if (spec.admission_abort_ratio > 0) {
-          // Overload gate: shed NEW top-levels while the recent abort
-          // ratio exceeds the bound.  Pauses are bounded per admission —
-          // if every worker gated indefinitely, no attempts would refresh
-          // the window and the high ratio would freeze in place.
-          for (int pause = 0; pause < 8; ++pause) {
-            const uint64_t a = win_attempts.load(std::memory_order_relaxed);
-            if (a < spec.admission_min_samples) break;
-            const uint64_t ab = win_aborts.load(std::memory_order_relaxed);
-            if (static_cast<double>(ab) <=
-                spec.admission_abort_ratio * static_cast<double>(a)) {
-              break;
-            }
-            ++local_throttled;
-            const uint64_t us = spec.admission_pause_us / 2 +
-                                rng.Uniform(spec.admission_pause_us / 2 + 1);
-            std::this_thread::sleep_for(std::chrono::microseconds(us));
-          }
-        }
         const TxnTemplate& tmpl = spec.mix[rng.WeightedIndex(w)];
         rt::MethodFn body = tmpl.make(rng);
         Stopwatch txn_clock;
-        // The runner drives the retry loop itself (single attempts via
-        // RunTransactionOnce) so the backoff jitter comes from the
-        // worker's seeded Rng rather than the executor's deterministic
-        // quadratic schedule: reproducible per (seed, thread), yet
-        // colliding workers draw different sleeps and de-synchronise.
-        rt::TxnResult r;
-        const int budget = std::max(1, exec.options().max_top_retries);
-        uint64_t backoff_us = spec.backoff_base_us;
-        uint64_t age_token = 0;  // wound-wait: wounded retries keep their age
-        for (int attempt = 1; attempt <= budget; ++attempt) {
-          r = exec.RunTransactionOnce(tmpl.name, body, age_token);
-          age_token =
-              r.last_abort == cc::AbortReason::kWounded ? r.age_token : 0;
-          r.attempts = attempt;
-          if (spec.admission_abort_ratio > 0) {
-            const uint64_t a =
-                win_attempts.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (!r.committed) {
-              win_aborts.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (a >= kAdmissionWindow) {
-              // Halve the window (ratio-preserving decay): one racing
-              // winner performs it, losers see the shrunk window.
-              uint64_t cur = win_attempts.load(std::memory_order_relaxed);
-              if (cur >= kAdmissionWindow &&
-                  win_attempts.compare_exchange_strong(
-                      cur, cur / 2, std::memory_order_relaxed)) {
-                win_aborts.store(
-                    win_aborts.load(std::memory_order_relaxed) / 2,
-                    std::memory_order_relaxed);
-              }
-            }
-          }
-          if (r.committed) break;
-          if (attempt == budget) break;
-          ++local_retries;
-          if (backoff_us > 0) {
-            const uint64_t us = rng.Uniform(backoff_us + 1);
-            if (us > 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(us));
-            }
-            backoff_us = std::min<uint64_t>(backoff_us * 2,
-                                            spec.backoff_cap_us);
-          }
-        }
+        // The executor's retry loop owns the budget, the backoff and
+        // wound-wait's age token.
+        const rt::TxnResult r = exec.RunTransaction(tmpl.name, std::move(body));
         local_latency.Record(txn_clock.ElapsedNanos());
+        if (r.attempts > 0) local_retries += r.attempts - 1;
         if (!r.committed) ++local_gave_up;
       }
       // Stamp completion BEFORE the (serialised) histogram merge.
@@ -147,7 +76,6 @@ RunMetrics RunWorkload(rt::Executor& exec, const WorkloadSpec& spec) {
       metrics.latency_ns.Merge(local_latency);
       metrics.gave_up += local_gave_up;
       metrics.retries += local_retries;
-      metrics.admission_throttled += local_throttled;
     });
   }
   // Dedicated mode: the dispatcher never inlines worker tasks — each task

@@ -8,7 +8,9 @@ namespace objectbase::workload {
 
 /// Runs the spec's transaction mix on `spec.threads` worker threads,
 /// `spec.txns_per_thread` transactions each, and returns the aggregated
-/// metrics.  Executor stats are reset at the start of the run.
+/// metrics.  Each transaction runs through Executor::RunTransaction, so
+/// retries follow the executor's budget and backoff.  Executor stats are
+/// reset at the start of the run.
 RunMetrics RunWorkload(rt::Executor& exec, const WorkloadSpec& spec);
 
 }  // namespace objectbase::workload

@@ -32,26 +32,6 @@ struct WorkloadSpec {
   int threads = 4;
   uint64_t txns_per_thread = 200;
   uint64_t seed = 42;
-  /// Capped exponential backoff with jitter for aborted top-level
-  /// attempts: before retry k the worker sleeps Uniform(0, min(base *
-  /// 2^(k-1), cap)) microseconds, drawn from its seeded Rng — colliding
-  /// transactions de-synchronise instead of re-colliding in lockstep,
-  /// and runs stay reproducible per (seed, thread).  base = 0 disables
-  /// the sleep (retries stay immediate).
-  uint32_t backoff_base_us = 16;
-  uint32_t backoff_cap_us = 2000;
-  /// Overload-graceful degradation: when > 0, a worker about to ADMIT a
-  /// new top-level transaction first checks the recent per-attempt abort
-  /// ratio across all workers; while it exceeds this bound the worker
-  /// pauses (jittered admission_pause_us sleeps, bounded per admission so
-  /// the gate can never livelock) instead of adding fuel to the conflict
-  /// storm.  In-flight retries are never gated — the gate sheds NEW work,
-  /// which is what actually lowers the multiprogramming level.  0 disables.
-  double admission_abort_ratio = 0;
-  uint32_t admission_pause_us = 200;
-  /// Minimum attempts in the sampling window before the gate may engage
-  /// (prevents a cold-start handful of aborts from throttling everyone).
-  uint64_t admission_min_samples = 64;
   /// Optional hook run once before the workers start (e.g. DefineMethod
   /// registrations, prefilling objects).
   std::function<void(rt::Executor&)> prepare;
@@ -74,8 +54,6 @@ struct RunMetrics {
   uint64_t ts_rejects = 0;
   uint64_t validation_fails = 0;
   uint64_t cascades = 0;  ///< kCascade + kDoomed.
-  /// Admission-gate pauses taken (load shedding engaged this many times).
-  uint64_t admission_throttled = 0;
   /// Sharded topologies only: commits whose footprint stayed on a single
   /// shard, indexed by that shard (size = num_shards; empty under the
   /// classic single-shard wiring).

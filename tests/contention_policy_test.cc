@@ -1,6 +1,5 @@
-// Adaptive contention management (PR 8): wound–wait and backoff lock
-// policies, the O(1) packed-stamp kin test, the adaptive fold cadence and
-// the per-object contention telemetry.
+// Contention management: the wound–wait lock policy, the O(1)
+// packed-stamp kin test and the adaptive fold cadence.
 //
 // The deterministic scenarios build the canonical two-holder shapes by
 // hand (phase gates instead of sleeps-and-hope), so the wound path — older
@@ -170,58 +169,6 @@ TEST(WoundWait, WoundedRetryKeepsItsAgeToken) {
   EXPECT_EQ(a_retry.age_token, a.age_token);
 }
 
-// --- backoff ----------------------------------------------------------------
-
-// A REAL two-holder cycle under kBackoff: victims leave the queue and
-// retry (counted), the cycle survives the budget and one side finally
-// takes the detection abort — backoff delays detection, never disables it.
-TEST(Backoff, VictimsRetryThenRealCyclesStillAbort) {
-  ObjectBase base;
-  base.CreateObject("x", adt::MakeRegisterSpec(0));
-  base.CreateObject("y", adt::MakeRegisterSpec(0));
-  Executor exec(base, {.protocol = Protocol::kN2pl,
-                       .granularity = cc::Granularity::kOperation,
-                       .max_top_retries = 20,
-                       .contention_policy = cc::ContentionPolicy::kBackoff});
-  const uint64_t backoffs_before =
-      cc::DeadlockVictimBackoffs().load(std::memory_order_relaxed);
-
-  std::atomic<int> phase{0};
-  TxnResult a_r, b_r;
-  std::thread a([&] {
-    a_r = exec.RunTransaction("a", [&](MethodCtx& txn) -> Value {
-      txn.Invoke("x", "write", {1});
-      if (phase.load(std::memory_order_acquire) == 0) {
-        phase.store(1, std::memory_order_release);
-        SpinUntil(phase, 2);
-      }
-      txn.Invoke("y", "write", {1});
-      return Value();
-    });
-  });
-  std::thread b([&] {
-    SpinUntil(phase, 1);
-    b_r = exec.RunTransaction("b", [&](MethodCtx& txn) -> Value {
-      txn.Invoke("y", "write", {2});
-      if (phase.load(std::memory_order_acquire) == 1) {
-        phase.store(2, std::memory_order_release);
-      }
-      txn.Invoke("x", "write", {2});
-      return Value();
-    });
-  });
-  a.join();
-  b.join();
-
-  EXPECT_TRUE(a_r.committed);
-  EXPECT_TRUE(b_r.committed);
-  EXPECT_GE(cc::DeadlockVictimBackoffs().load(std::memory_order_relaxed),
-            backoffs_before + 1)
-      << "the victim must have gone through counted backoff rounds";
-  EXPECT_GE(exec.stats().AbortsFor(cc::AbortReason::kDeadlock), 1u)
-      << "a genuine cycle must still abort after the backoff budget";
-}
-
 // --- O(1) kin test ----------------------------------------------------------
 
 // The O(depth) reference for Entry::IncomparableWith: the executions are
@@ -355,76 +302,6 @@ TEST(AdaptiveFold, DisabledFoldingTakesZeroJournalMutexes) {
             locks_before)
       << "fold=0 must keep the step path free of journal mutexes, "
          "telemetry included";
-}
-
-// --- contention telemetry ---------------------------------------------------
-
-// The counters are pure relaxed atomics folded into existing structures:
-// an uncontended run counts its steps, charges no conflicts/waits/aborts,
-// and takes no journal mutex (fold disabled) — i.e. telemetry costs the
-// step path nothing it did not already pay.
-TEST(ContentionTelemetry, CountsStepsWithoutNewMutexes) {
-  ObjectBase base;
-  const uint32_t reg_id = base.CreateObject("reg", adt::MakeRegisterSpec(0));
-  Executor exec(base, {.protocol = Protocol::kNto,
-                       .granularity = cc::Granularity::kStep,
-                       .journal_fold_threshold = 0});
-  const uint64_t locks_before =
-      JournalMutexAcquisitions().load(std::memory_order_relaxed);
-  const int kTxns = 100;
-  for (int i = 0; i < kTxns; ++i) {
-    exec.RunTransaction("w", [&](MethodCtx& txn) -> Value {
-      txn.Invoke("reg", "write", {i});
-      return Value();
-    });
-  }
-  const ContentionTelemetry& t = base.Get(reg_id).contention();
-  EXPECT_EQ(t.steps.load(std::memory_order_relaxed),
-            static_cast<uint64_t>(kTxns));
-  EXPECT_EQ(t.lock_conflicts.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(t.journal_conflicts.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(t.aborts.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(t.wait_ns.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(JournalMutexAcquisitions().load(std::memory_order_relaxed),
-            locks_before);
-}
-
-// Contended locking run: conflicts and waits are charged to the object
-// that suffered them.
-TEST(ContentionTelemetry, ChargesLockConflictsAndWaitsToTheHotObject) {
-  ObjectBase base;
-  const uint32_t hot_id = base.CreateObject("hot", adt::MakeRegisterSpec(0));
-  base.CreateObject("cold", adt::MakeRegisterSpec(0));
-  Executor exec(base, {.protocol = Protocol::kN2pl,
-                       .granularity = cc::Granularity::kOperation,
-                       .max_top_retries = 50});
-  // Start barrier + in-transaction hold time: the exclusive op lock is
-  // held from Invoke to commit, so overlapping transactions MUST block —
-  // without this, microsecond transactions can serialise by accident and
-  // the conflict counters legitimately stay zero.
-  std::atomic<int> ready{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      ready.fetch_add(1);
-      while (ready.load() < 4) std::this_thread::yield();
-      for (int i = 0; i < 20; ++i) {
-        exec.RunTransaction("w", [&](MethodCtx& txn) -> Value {
-          txn.Invoke("hot", "write", {1});
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          return Value();
-        });
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const ContentionTelemetry& hot = base.Get(hot_id).contention();
-  // Single-object N2PL waits cannot deadlock, so no attempt ever aborts:
-  // exactly one counted step per transaction.
-  EXPECT_EQ(hot.steps.load(std::memory_order_relaxed), 80u);
-  EXPECT_GT(hot.lock_conflicts.load(std::memory_order_relaxed), 0u)
-      << "4 threads hammering one exclusive op lock must conflict";
-  EXPECT_GT(hot.wait_ns.load(std::memory_order_relaxed), 0u);
 }
 
 }  // namespace

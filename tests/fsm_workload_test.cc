@@ -2,8 +2,8 @@
 // the determinism contract (byte-identical traces), the acceptance sweep
 // (composed-mode run of all three seeded scenarios passing the legality /
 // SG-acyclicity / Theorem 5 oracles under every protocol), and the sharded
-// follow-ons from PR 9 — composed FSM load with the governor live, and the
-// pinned cross-shard cycle staying doomed while FSM traffic runs around it.
+// follow-on from PR 9 — the pinned cross-shard cycle staying doomed while
+// FSM traffic runs around it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/adt/register_adt.h"
-#include "src/cc/policy_governor.h"
 #include "src/cc/sharded_controller.h"
 #include "src/common/rng.h"
 #include "src/model/legality.h"
@@ -282,47 +281,6 @@ TEST(FsmRunnerTest, SeedChangesTheWalk) {
 }
 
 // --- sharded follow-ons (PR 9) -----------------------------------------------
-
-// Composed FSM load on a sharded MIXED base with the governor flipping
-// policies mid-run: cross-shard tops must still commit (the scenarios'
-// transactions routinely span shards) and every invariant and oracle holds.
-TEST(FsmShardedTest, ComposedRunUnderGovernorCommitsCrossShard) {
-  rt::ShardedBase base(4);
-  Scenarios s = MakeScenarios(base);
-  rt::Executor exec(base, {.protocol = rt::Protocol::kMixed,
-                           .max_top_retries = 50});
-  ASSERT_NE(exec.sharded(), nullptr);
-
-  // Twitchy governor so flips actually happen inside a short run; the
-  // apply hook routes flips to each object's home shard.
-  cc::GovernorOptions gopts;
-  gopts.sample_interval_us = 200;
-  gopts.high_watermark = 1e-6;
-  gopts.low_watermark = 0.0;
-  gopts.min_dwell_samples = 1;
-  cc::PolicyGovernor governor(*exec.mixed(),
-                              cc::PolicyGovernor::AllObjects(base), gopts);
-  governor.SetApplyHook([&exec](uint32_t id, cc::IntraPolicy p) {
-    return exec.SetIntraPolicy(id, p);
-  });
-  governor.Start();
-
-  FsmRunner runner(exec, {.mode = FsmMode::kComposed, .seed = 23,
-                          .composed_threads = 4});
-  FsmRunResult res = runner.Run(s.all);
-  governor.Stop();
-
-  EXPECT_TRUE(res.ok()) << Joined(res.failures);
-  EXPECT_GT(res.committed, 0u);
-  // The secondary-index and pipeline transactions span objects on
-  // different shards, so cross-shard commit-wait must have succeeded.
-  EXPECT_GT(exec.stats()
-                .committed_by_shard[rt::Executor::Stats::kCrossShardSlot]
-                .load(),
-            0u)
-      << "no cross-shard top committed under FSM load";
-  VerifyOracles(exec, "sharded composed run with governor");
-}
 
 // The PR 9 pinned regression, now under load: while composed FSM traffic
 // runs, two latch-interleaved transactions form a serialisation cycle whose

@@ -123,17 +123,6 @@ TEST(GemstoneProtocolTest, WritersStillExcludeReaders) {
   VerifyHistory(exec, "GEMSTONE writer exclusion");
 }
 
-TEST(GemstoneProtocolTest, SharedReadsOffRestoresExclusiveBaseline) {
-  // The E1d ablation switch: with shared reads off, even two read-only
-  // transactions exclude each other (the pre-overhaul baseline).
-  ObjectBase base;
-  base.CreateObject("acct", adt::MakeBankAccountSpec(100));
-  Executor exec(base, {.protocol = kP, .gemstone_shared_reads = false});
-  EXPECT_FALSE(SecondTxnCompletesInsideFirst(exec, "balance", {}, "balance",
-                                             /*wait_ms=*/150))
-      << "exclusive-only mode let two readers overlap";
-}
-
 TEST(GemstoneProtocolTest, LocksReleasedAtTopCompletion) {
   ObjectBase base;
   base.CreateObject("c", adt::MakeCounterSpec(0));

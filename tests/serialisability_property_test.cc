@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <random>
 #include <thread>
 
@@ -21,7 +20,6 @@
 #include "src/adt/queue_adt.h"
 #include "src/adt/register_adt.h"
 #include "src/adt/set_adt.h"
-#include "src/cc/policy_governor.h"
 #include "src/common/rng.h"
 #include "src/model/legality.h"
 #include "src/model/local_graphs.h"
@@ -192,21 +190,16 @@ void RunFuzzRound(uint64_t seed) {
   // The draw always happens so pinned seeds replay identically whether or
   // not the btree override is set.
   const bool with_btree = rng.Bernoulli(0.5) || FuzzForceBtree();
-  // Governor draw too: ALWAYS performed (same replay-determinism rule),
-  // consumed only by MIXED rounds — the legality/SG oracles then cover
-  // histories whose intra-object policies flipped mid-run under load.
-  const bool with_governor = rng.Bernoulli(0.5);
+  (void)rng.Bernoulli(0.5);  // retired draw, kept so pinned seeds replay
   // Sharding draws (all unconditional, same replay rule): shard count —
   // 1 exercises the classic wiring, >1 the sharded topology with eager
   // registration and cross-shard commit-wait; cross_ratio biases how often
-  // a transaction's footprint spans objects (and thus shards); governor
-  // watermarks vary per round so the hysteresis band itself is fuzzed.
+  // a transaction's footprint spans objects (and thus shards).
   const uint32_t shard_counts[] = {1, 2, 4, 8};
   const uint32_t nshards = shard_counts[rng.Uniform(4)];
   const double cross_ratios[] = {0.0, 0.5, 1.0};
   const double cross_ratio = cross_ratios[rng.Uniform(3)];
-  const double g_high = 0.02 + 0.02 * static_cast<double>(rng.Uniform(4));
-  const double g_low = g_high / 4.0;
+  (void)rng.Uniform(4);  // retired draw, kept so pinned seeds replay
 
   ShardedBase base(nshards);
   base.CreateObject("r0", adt::MakeRegisterSpec(0));
@@ -229,33 +222,12 @@ void RunFuzzRound(uint64_t seed) {
     }
     // The B-tree keeps its default (crabbing) policy when present.
   }
-  std::unique_ptr<cc::PolicyGovernor> governor;
-  if (protocol == Protocol::kMixed && with_governor &&
-      exec.mixed() != nullptr) {
-    // Twitchy settings so flips actually happen inside a short round;
-    // watermarks come from the per-round draw above.
-    cc::GovernorOptions gopts;
-    gopts.sample_interval_us = 300;
-    gopts.high_watermark = g_high;
-    gopts.low_watermark = g_low;
-    gopts.min_dwell_samples = 1;
-    governor = std::make_unique<cc::PolicyGovernor>(
-        *exec.mixed(), cc::PolicyGovernor::AllObjects(base), gopts);
-    // Sharded MIXED: flips must land on the object's home-shard instance,
-    // not just shard 0's — route them through the executor's fan-out.
-    governor->SetApplyHook([&exec](uint32_t id, cc::IntraPolicy p) {
-      return exec.SetIntraPolicy(id, p);
-    });
-    governor->Start();
-  }
-
   std::printf(
-      "[fuzz]   %s %s threads=%d txns=%d fold=%zu btree=%d gov=%d "
+      "[fuzz]   %s %s threads=%d txns=%d fold=%zu btree=%d "
       "shards=%u xratio=%.1f\n",
       ProtocolName(protocol),
       granularity == cc::Granularity::kStep ? "step" : "op", threads, txns,
-      fold_threshold, with_btree ? 1 : 0, governor != nullptr ? 1 : 0,
-      nshards, cross_ratio);
+      fold_threshold, with_btree ? 1 : 0, nshards, cross_ratio);
   std::fflush(stdout);
 
   // Forced-btree rounds widen the mix with dict get/del (kinds 8/9) so
@@ -317,12 +289,6 @@ void RunFuzzRound(uint64_t seed) {
     });
   }
   for (auto& w : workers) w.join();
-  if (governor != nullptr) {
-    governor->Stop();
-    std::printf("[fuzz]   governor flips=%llu\n",
-                static_cast<unsigned long long>(governor->flips()));
-    std::fflush(stdout);
-  }
 
   model::History h = exec.recorder().Snapshot();
   model::LegalityResult legal = model::CheckLegal(h, /*committed_only=*/true);
@@ -372,7 +338,7 @@ TEST(CrossProtocolFuzz, RandomisedRunsAreSerialisable) {
 //
 // The same oracle block, fed by the FSM workload framework instead of the
 // flat op mix: every round randomises protocol, granularity, shard count,
-// runner mode (serial / parallel / composed) and the governor draw, then
+// runner mode (serial / parallel / composed) and MIXED policies, then
 // runs ALL THREE seeded scenarios (secondary-index maintenance, bounded
 // queue pipeline, read-mostly catalogue) through an FsmRunner.  Each
 // scenario carries its own cross-object invariants (checked post-commit at
@@ -407,11 +373,11 @@ void RunFsmFuzzRound(uint64_t seed) {
   const size_t fold_threshold = fold_thresholds[rng.Uniform(3)];
   const int composed_threads = 2 + static_cast<int>(rng.Uniform(3));  // 2..4
   const int iterations = 15 + static_cast<int>(rng.Uniform(16));      // 15..30
-  // Governor and per-object policy draws are ALWAYS performed (replay
-  // determinism: a pinned seed replays identically whatever the protocol
-  // draw was); only MIXED rounds consume them.
-  const bool with_governor = rng.Bernoulli(0.5);
-  const double g_high = 0.02 + 0.02 * static_cast<double>(rng.Uniform(4));
+  // Per-object policy draws are ALWAYS performed (replay determinism: a
+  // pinned seed replays identically whatever the protocol draw was); only
+  // MIXED rounds consume them.
+  (void)rng.Bernoulli(0.5);  // retired draws, kept so pinned seeds replay
+  (void)rng.Uniform(4);
   const cc::IntraPolicy intra_policies[] = {cc::IntraPolicy::kLocal2pl,
                                             cc::IntraPolicy::kTimestamp,
                                             cc::IntraPolicy::kOptimistic};
@@ -455,34 +421,17 @@ void RunFsmFuzzRound(uint64_t seed) {
       ASSERT_TRUE(exec.SetIntraPolicy(objects[i], drawn[i])) << objects[i];
     }
   }
-  std::unique_ptr<cc::PolicyGovernor> governor;
-  if (protocol == Protocol::kMixed && with_governor &&
-      exec.mixed() != nullptr) {
-    cc::GovernorOptions gopts;
-    gopts.sample_interval_us = 300;
-    gopts.high_watermark = g_high;
-    gopts.low_watermark = g_high / 4.0;
-    gopts.min_dwell_samples = 1;
-    governor = std::make_unique<cc::PolicyGovernor>(
-        *exec.mixed(), cc::PolicyGovernor::AllObjects(base), gopts);
-    governor->SetApplyHook([&exec](uint32_t id, cc::IntraPolicy p) {
-      return exec.SetIntraPolicy(id, p);
-    });
-    governor->Start();
-  }
-
   std::printf("[fsm-fuzz] %s %s mode=%s shards=%u fold=%zu walkers=%d "
-              "iters=%d gov=%d\n",
+              "iters=%d\n",
               ProtocolName(protocol),
               granularity == cc::Granularity::kStep ? "step" : "op",
               workload::FsmModeName(mode), nshards, fold_threshold,
-              composed_threads, iterations, governor != nullptr ? 1 : 0);
+              composed_threads, iterations);
   std::fflush(stdout);
 
   workload::FsmRunner runner(exec, {.mode = mode, .seed = seed,
                                     .composed_threads = composed_threads});
   workload::FsmRunResult res = runner.Run(all);
-  if (governor != nullptr) governor->Stop();
 
   std::string failures;
   for (const std::string& f : res.failures) failures += f + "\n";

@@ -23,7 +23,6 @@
 #include "src/adt/queue_adt.h"
 #include "src/adt/register_adt.h"
 #include "src/adt/set_adt.h"
-#include "src/cc/policy_governor.h"
 #include "src/cc/sharded_controller.h"
 #include "src/common/rng.h"
 #include "src/model/legality.h"
@@ -374,73 +373,55 @@ TEST(ShardedExecutor, ContendedFourShardSweepAllProtocols) {
   }
 }
 
-// --- governor → shard router feed -------------------------------------------
+// --- commit-wait poll timeout ------------------------------------------------
 
-TEST(ShardedExecutor, GovernorFlagsHotObjectAndRouterPinsIt) {
-  ShardedBase base(4);
-  base.CreateObject("hot", adt::MakeRegisterSpec(0));   // shard 0
-  base.CreateObject("cold", adt::MakeCounterSpec(0));   // shard 1
-  Executor exec(base, {.protocol = Protocol::kMixed, .max_top_retries = 50});
-  ASSERT_TRUE(exec.SetIntraPolicy("hot", cc::IntraPolicy::kOptimistic));
+TEST(ShardedExecutor, PollBudgetExpiryAbortsAsCommitTimeoutNotDeadlock) {
+  // a lives on shard 0, b on shard 1.  A single-shard top writes a and
+  // parks before committing; a cross-shard top then writes a (an edge from
+  // the parked top on shard 0) and b, and its commit-wait polls shard 0
+  // until the budget runs out.  There is no cycle, so the abort must be
+  // reported as a timeout, not as a deadlock.
+  ShardedBase base(2);
+  base.CreateObject("a", adt::MakeRegisterSpec(0));
+  base.CreateObject("b", adt::MakeRegisterSpec(0));
+  Executor exec(base, {.protocol = Protocol::kCert});
+  ASSERT_NE(exec.sharded(), nullptr);
+  exec.sharded()->SetCommitPollBudgetUs(2000);
 
-  cc::GovernorOptions gopts;
-  gopts.sample_interval_us = 200;
-  gopts.high_watermark = 1e-6;  // any conflict pressure at all flips
-  gopts.low_watermark = 0.0;
-  gopts.min_dwell_samples = 1;
-  cc::PolicyGovernor governor(*exec.mixed(),
-                              cc::PolicyGovernor::AllObjects(base), gopts);
-  governor.SetApplyHook([&exec](uint32_t id, cc::IntraPolicy p) {
-    return exec.SetIntraPolicy(id, p);
-  });
-  governor.Start();
-
-  // Conflict storm on "hot" (register writes do not commute) until the
-  // governor flags it.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&, t] {
-      Rng rng(17 + t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const int64_t v = rng.Range(0, 100);
-        exec.RunTransaction("storm", [&, v](MethodCtx& txn) {
-          txn.Invoke("hot", "write", {v});
-          return Value();
-        });
+  std::atomic<bool> written{false};
+  std::atomic<bool> release{false};
+  TxnResult parked;
+  std::thread holder([&] {
+    parked = exec.RunTransaction("parked", [&](MethodCtx& txn) {
+      txn.Invoke("a", "write", {1});
+      written.store(true);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
+      return Value();
     });
-  }
-  while (governor.hot_objects() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& w : workers) w.join();
-  governor.Stop();
+  });
+  while (!written.load()) std::this_thread::yield();
 
-  ASSERT_GT(governor.hot_objects(), 0u) << "storm never flagged the object";
-  const std::vector<uint32_t> hot = governor.HotObjectIds();
-  ASSERT_FALSE(hot.empty());
-  EXPECT_EQ(hot[0], base.Find("hot")->id());
+  const MethodFn cross = [](MethodCtx& txn) {
+    txn.Invoke("a", "write", {2});
+    txn.Invoke("b", "write", {2});
+    return Value();
+  };
+  TxnResult first = exec.RunTransactionOnce("cross", cross);
+  EXPECT_FALSE(first.committed);
+  EXPECT_EQ(first.last_abort, cc::AbortReason::kCommitTimeout);
+  EXPECT_EQ(exec.sharded()->commit_poll_timeouts(), 1u);
+  EXPECT_EQ(exec.sharded()->cross_shard_cycle_aborts(), 0u);
+  EXPECT_EQ(exec.stats().AbortsFor(cc::AbortReason::kDeadlock), 0u);
 
-  // Router feed: pin the flagged set to a dedicated shard while quiescent.
-  const size_t pinned = governor.PinHotTo(base, 3);
-  EXPECT_EQ(pinned, hot.size());
-  EXPECT_EQ(base.ShardOf(base.Find("hot")->id()), 3u);
-  EXPECT_EQ(base.ShardOf(base.Find("cold")->id()), 1u) << "cold re-homed";
-
-  // A fresh executor over the re-homed base routes the hot object to its
-  // dedicated shard.
-  Executor exec2(base, {.protocol = Protocol::kMixed});
-  ASSERT_TRUE(exec2.RunTransaction("after", [](MethodCtx& txn) {
-                    txn.Invoke("hot", "write", {7});
-                    return Value();
-                  }).committed);
-  EXPECT_EQ(exec2.stats().committed_by_shard[3].load(), 1u);
-  VerifyOracles(exec, "governor pinning storm");
+  release.store(true);
+  holder.join();
+  ASSERT_TRUE(parked.committed);
+  TxnResult retry = exec.RunTransactionOnce("cross", cross);
+  EXPECT_TRUE(retry.committed);
+  EXPECT_EQ(exec.sharded()->commit_poll_timeouts(), 1u);
+  VerifyOracles(exec, "commit-wait poll timeout");
 }
 
 // --- branch pool -------------------------------------------------------------

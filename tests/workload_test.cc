@@ -152,55 +152,39 @@ TEST(WorkloadTest, MetricsExposeAbortBreakdown) {
                 exec.stats().AbortsFor(cc::AbortReason::kNone));
 }
 
-// Direct unit test of the admission gate: a synthetic abort storm (every
-// attempt user-aborts) must engage the gate — but ONLY for new admissions.
-// In-flight retries are never gated, so every transaction still consumes
-// its full retry budget: shedding new work must not starve work already
-// admitted.
-TEST(WorkloadTest, AdmissionGateShedsOnlyNewAdmissions) {
+// An abort storm (every attempt user-aborts) through RunWorkload: each
+// transaction uses exactly the executor's retry budget and is reported as
+// given up, and the runner's retry count is the executor's own — the
+// budget and the count live in Executor::RunTransaction alone.
+TEST(WorkloadTest, AbortStormUsesTheExecutorRetryBudget) {
   const int kThreads = 2;
   const uint64_t kTxns = 25;
   const int kBudget = 3;  // attempts per transaction (1 + 2 retries)
-  for (double ratio : {0.5, 0.0}) {
-    rt::ObjectBase base;
-    base.CreateObject("c", adt::MakeCounterSpec(0));
-    rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
-                             .record = false,
-                             .max_top_retries = kBudget});
-    WorkloadSpec spec;
-    spec.name = "abort-storm";
-    spec.threads = kThreads;
-    spec.txns_per_thread = kTxns;
-    spec.backoff_base_us = 0;       // immediate retries: pure gate behaviour
-    spec.admission_abort_ratio = ratio;
-    spec.admission_min_samples = 8;  // engage early in the run
-    spec.admission_pause_us = 50;    // keep the throttled run fast
-    TxnTemplate storm;
-    storm.name = "always-abort";
-    storm.make = [](Rng&) -> rt::MethodFn {
-      return [](rt::MethodCtx& txn) -> Value {
-        txn.Abort();
-      };
+  rt::ObjectBase base;
+  base.CreateObject("c", adt::MakeCounterSpec(0));
+  rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
+                           .record = false,
+                           .max_top_retries = kBudget});
+  WorkloadSpec spec;
+  spec.name = "abort-storm";
+  spec.threads = kThreads;
+  spec.txns_per_thread = kTxns;
+  TxnTemplate storm;
+  storm.name = "always-abort";
+  storm.make = [](Rng&) -> rt::MethodFn {
+    return [](rt::MethodCtx& txn) -> Value {
+      txn.Abort();
     };
-    spec.mix.push_back(std::move(storm));
+  };
+  spec.mix.push_back(std::move(storm));
 
-    RunMetrics m = RunWorkload(exec, spec);
-    const uint64_t total = kThreads * kTxns;
-    EXPECT_EQ(m.committed, 0u);
-    EXPECT_EQ(m.gave_up, total);
-    // The load-shedding invariant: every admitted transaction used its FULL
-    // retry budget.  If the gate ever shed an in-flight retry, this count
-    // would fall short.
-    EXPECT_EQ(m.retries, total * (kBudget - 1));
-    EXPECT_EQ(m.aborted_attempts, total * kBudget);
-    if (ratio > 0) {
-      // 100% abort ratio is far above the 0.5 bound: the gate must have
-      // paused at least one admission once the sample window filled.
-      EXPECT_GT(m.admission_throttled, 0u) << "gate never engaged";
-    } else {
-      EXPECT_EQ(m.admission_throttled, 0u) << "gate engaged while disabled";
-    }
-  }
+  RunMetrics m = RunWorkload(exec, spec);
+  const uint64_t total = kThreads * kTxns;
+  EXPECT_EQ(m.committed, 0u);
+  EXPECT_EQ(m.gave_up, total);
+  EXPECT_EQ(m.retries, total * (kBudget - 1));
+  EXPECT_EQ(m.aborted_attempts, total * kBudget);
+  EXPECT_EQ(m.retries, exec.stats().retries.load());
 }
 
 }  // namespace
