@@ -341,14 +341,14 @@ int main(int argc, char** argv) {
   // --- E2b: recovery time vs journal length -------------------------------
   //
   // Restart cost: log a run of increasing length under NTO+group, then
-  // replay it into a fresh base with RecoverWalInto, timing the scan +
-  // replay.  The claim is linear scaling in log bytes (single pass, one
-  // stable sort per object).
+  // replay it into a fresh base with RecoverShardedWalInto, timing the
+  // scan + replay.  The claim is linear scaling in log bytes (single pass,
+  // one stable sort per object).
   }
 
   if (want("e2b")) {
   bench::Banner("E2b: recovery time vs journal length",
-                "RecoverWalInto wall time across growing redo logs");
+                "RecoverShardedWalInto wall time across growing redo logs");
   TablePrinter rec({"txns", "log-MB", "commits", "replayed", "recover-ms",
                     "MB/s"});
   for (int txns : {200, 800, 3200}) {
@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
     rt::ObjectBase fresh;
     workload::SetupBanking(fresh, p);
     Stopwatch sw;
-    rt::WalRecoveryResult r = rt::RecoverWalInto(wal_path, fresh);
+    rt::WalRecoveryResult r = rt::RecoverShardedWalInto(wal_path, 1, fresh);
     const double seconds = sw.ElapsedSeconds();
     std::remove(wal_path.c_str());
     const double mb = r.valid_bytes / 1e6;

@@ -69,8 +69,8 @@ class BankAccountSpec : public SpecBase {
     const OpId a = ViewId(first);
     const OpId b = ViewId(second);
     if (a == kNoOp || b == kNoOp) return false;
-    Kind k1 = KindOf(first, a);
-    Kind k2 = KindOf(second, b);
+    Kind k1 = ClassifyStep(first, a);
+    Kind k2 = ClassifyStep(second, b);
     auto is_withdraw_unknown = [](Kind k) { return k == Kind::kWithdrawUnknown; };
     if (is_withdraw_unknown(k1) || is_withdraw_unknown(k2)) {
       return OpConflictsById(a, b);
@@ -116,7 +116,7 @@ class BankAccountSpec : public SpecBase {
   }
 
  private:
-  Kind KindOf(const StepView& t, OpId id) const {
+  Kind ClassifyStep(const StepView& t, OpId id) const {
     if (id == balance_) return Kind::kBalance;
     if (id == deposit_) return Kind::kDeposit;
     if (id != withdraw_ || t.ret == nullptr) return Kind::kWithdrawUnknown;

@@ -23,10 +23,9 @@ CertController::CertController(rt::Recorder& recorder, Granularity granularity,
       journal_hts_(journal_hts) {}
 
 void CertController::OnTopBegin(rt::TxnNode& top) {
-  // Cache the packed slot handle on the node: every per-step doom poll and
-  // recorded journal entry addresses the registry slot directly.  (Under a
-  // sharded topology the handle lands in this shard's slot of the node's
-  // handle array — see Controller::BindShardSlot.)
+  // Cache the packed slot handle in this shard's slot of the node: every
+  // per-step doom poll and recorded journal entry addresses the registry
+  // slot directly.
   SetDepHandle(top, deps_.Register(top.uid(), top.hts().top_component()).raw());
 }
 
@@ -232,37 +231,10 @@ bool CertController::OnTopCommit(rt::TxnNode& top, AbortReason* reason) {
   return true;
 }
 
-namespace {
-
-void CollectObjects(rt::TxnNode& node, std::vector<rt::Object*>& out) {
-  for (const rt::UndoRecord& u : node.undo_log()) {
-    if (std::find(out.begin(), out.end(), u.object) == out.end()) {
-      out.push_back(u.object);
-    }
-  }
-  for (auto& child : node.children()) CollectObjects(*child, out);
-}
-
-}  // namespace
-
 void CertController::OnAbort(rt::TxnNode& node) {
   // Mark the subtree's journal entries aborted and rebuild each touched
-  // object's state from its base.  The rebuild front-runs the doom
-  // cascade and excludes doomed transactions' entries (rebuild soundness
-  // — see Object::AbortEntriesAndRebuild and docs/journal.md).
-  std::vector<rt::Object*> touched;
-  CollectObjects(node, touched);
-  const DepRef top_ref = DepRef::FromRaw(DepHandleOf(*node.top()));
-  for (rt::Object* obj : touched) {
-    obj->AbortEntriesAndRebuild(
-        node.uid(), [&] { deps_.DoomSuccessorsTransitively(top_ref); },
-        [&](uint64_t dep_raw) {
-          return deps_.IsDoomed(DepRef::FromRaw(dep_raw));
-        });
-  }
-  if (node.parent() == nullptr) {
-    deps_.MarkAborted(DepRef::FromRaw(DepHandleOf(node)));
-  }
+  // object's state from its base.
+  AbortAndRebuild(node, deps_);
 }
 
 void CertController::OnTopFinished(rt::TxnNode& top) {

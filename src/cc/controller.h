@@ -1,8 +1,8 @@
 // The concurrency-control interface between the runtime and the protocols.
 //
-// A Controller is one synchronisation discipline for the whole object base
-// (or, for MIXED, a composition of per-object disciplines plus an
-// inter-object layer).  The runtime calls it around every local step,
+// A Controller is one synchronisation discipline for one shard of the
+// object base (or, for MIXED, a composition of per-object disciplines plus
+// an inter-object layer).  The runtime calls it around every local step,
 // child commit, top-level commit and abort.  Implemented by:
 //   N2plController      — nested two-phase locking (Moss/Argus), Section 5.1
 //   NtoController       — nested timestamp ordering (Reed), Section 5.2
@@ -11,6 +11,8 @@
 //                         data item, exclusive whole-object locks)
 //   MixedController     — per-object intra-object policies under a global
 //                         certifier (Theorem 5 realised)
+// and composed over the shards by ShardedController, the one the Executor
+// talks to (a plain ObjectBase is one shard).
 #ifndef OBJECTBASE_CC_CONTROLLER_H_
 #define OBJECTBASE_CC_CONTROLLER_H_
 
@@ -29,6 +31,8 @@ class WalWriter;
 }  // namespace objectbase::rt
 
 namespace objectbase::cc {
+
+class DependencyGraph;
 
 /// Why a method execution was aborted.
 enum class AbortReason {
@@ -122,25 +126,28 @@ class Controller {
   /// inner certifier.
   virtual void AttachWal(rt::WalWriter* wal) { wal_ = wal; }
 
-  /// Under a sharded topology each shard's controller instance is told its
-  /// shard index once at construction, before any transaction runs.  The
-  /// controller then addresses its top-level registry handle through
-  /// DepHandleOf/SetDepHandle below, which pick the per-shard slot of the
-  /// TxnNode instead of the single dep_handle.  MIXED forwards to its
-  /// inner certifier.  Never called in the classic single-controller
-  /// wiring — shard_slot_ stays -1 and the helpers reduce to the plain
-  /// handle, so shards=1 runs byte-identically.
-  virtual void BindShardSlot(uint32_t shard) {
-    shard_slot_ = static_cast<int32_t>(shard);
-  }
+  /// Each controller instance runs one shard of the object base (a plain
+  /// ObjectBase is one shard) and is told its shard index once at
+  /// construction, before any transaction runs.  It addresses its
+  /// top-level registry handle through DepHandleOf/SetDepHandle below, in
+  /// that shard's slot of the TxnNode, and owns only the objects whose
+  /// Object::shard() is this index.  MIXED forwards to its inner
+  /// certifier.
+  virtual void BindShardSlot(uint32_t shard) { shard_slot_ = shard; }
 
  protected:
   /// This controller's registry handle for `top` (see BindShardSlot).
   uint64_t DepHandleOf(const rt::TxnNode& top) const;
   void SetDepHandle(rt::TxnNode& top, uint64_t raw) const;
 
+  /// Rebuild-based rollback (NTO, CERT and MIXED's certifier): marks the
+  /// subtree's journal entries aborted on every object of this shard it
+  /// touched and rebuilds each from its base, running the doom cascade
+  /// through `deps`; a top-level abort then settles the top's slot.
+  void AbortAndRebuild(rt::TxnNode& node, DependencyGraph& deps) const;
+
   rt::WalWriter* wal_ = nullptr;  ///< Null iff durability == kNone.
-  int32_t shard_slot_ = -1;       ///< -1 = unsharded wiring.
+  uint32_t shard_slot_ = 0;       ///< See BindShardSlot.
 };
 
 }  // namespace objectbase::cc

@@ -606,15 +606,8 @@ void LockManager::TransferToParent(rt::TxnNode& child) {
   rt::TxnNode* parent = child.parent();
   if (parent == nullptr) return;
   // Only the tables of objects the child actually locked are touched (rule
-  // 5's inheritance); the set then belongs to the parent.
-  std::vector<uint32_t> touched = child.TakeLockedObjects();
-  TransferToParentObjects(child, *parent, touched);
-  parent->MergeLockedObjects(touched);
-}
-
-void LockManager::TransferToParentObjects(rt::TxnNode& child,
-                                          rt::TxnNode& parent,
-                                          const std::vector<uint32_t>& objects) {
+  // 5's inheritance); the parent then owns them too.
+  const std::vector<uint32_t>& objects = child.locked_objects();
   for (uint32_t obj_id : objects) {
     ObjTable* table = FindTable(obj_id);
     if (table == nullptr) continue;
@@ -622,7 +615,7 @@ void LockManager::TransferToParentObjects(rt::TxnNode& child,
     bool changed = false;
     for (Entry& e : table->entries) {
       if (e.owner == &child) {
-        e.owner = &parent;
+        e.owner = parent;
         changed = true;
       }
     }
@@ -634,11 +627,12 @@ void LockManager::TransferToParentObjects(rt::TxnNode& child,
       WakeWaitersLocked(*table, /*wake_all=*/true, nullptr);
     }
   }
+  parent->MergeLockedObjects(objects);
 }
 
 namespace {
 void CollectLockedObjects(rt::TxnNode& node, std::vector<uint32_t>& out) {
-  for (uint32_t o : node.SnapshotLockedObjects()) out.push_back(o);
+  node.AppendLockedObjects(out);
   for (auto& child : node.children()) CollectLockedObjects(*child, out);
 }
 }  // namespace

@@ -157,19 +157,10 @@ class LockManager {
   Outcome WaitWhileBlocked(rt::TxnNode& txn, rt::Object& obj,
                            const Request& req);
 
-  /// Rule 5: every lock owned by `child` transfers to its parent.
+  /// Rule 5: every lock owned by `child` in this manager's tables
+  /// transfers to its parent.  Idempotent on the nodes' locked-object
+  /// lists, so each shard's manager runs it for the same child.
   void TransferToParent(rt::TxnNode& child);
-
-  /// Table-side half of TransferToParent, restricted to `objects`: walks
-  /// only the named tables, reassigning `child`-subtree entries to
-  /// `parent`, without touching the nodes' locked-object bookkeeping.  The
-  /// sharded topology fans a child commit out over several managers — each
-  /// sees the same snapshot, and the CALLER clears the child's list and
-  /// merges it into the parent exactly once (TakeLockedObjects is
-  /// destructive, so per-manager TransferToParent would lose the list for
-  /// every manager after the first).
-  void TransferToParentObjects(rt::TxnNode& child, rt::TxnNode& parent,
-                               const std::vector<uint32_t>& objects);
 
   /// Releases every lock owned by any execution in the subtree rooted at
   /// `root` (abort path) or by the top-level execution (commit path —

@@ -24,14 +24,6 @@ MixedController::MixedController(rt::Recorder& recorder, size_t num_objects,
   for (size_t i = 0; i < policy_count_; ++i) {
     policies_[i].store(kUnsetPolicy, std::memory_order_relaxed);
   }
-  // A wound victim can be blocked outside the lock manager entirely — parked
-  // in the certifier's commit-wait (`ValidateAndWait`), where it never passes
-  // a wound observation point.  Dooming the victim's top in the dependency
-  // registry makes that wait unwind with kDoomed, so the wound is observed on
-  // whichever side of MIXED the victim happens to be sleeping.
-  locks_.SetWoundHook([this](rt::TxnNode& top) {
-    certifier_.deps().Doom(DepRef::FromRaw(DepHandleOf(top)));
-  });
 }
 
 bool MixedController::SetPolicy(uint32_t object_id, IntraPolicy policy) {

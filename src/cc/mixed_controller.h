@@ -90,6 +90,10 @@ class MixedController : public Controller {
     certifier_.BindShardSlot(shard);
   }
 
+  /// Serves the kLocal2pl objects.  Under wound-wait a victim can be
+  /// parked in the certifier's commit-wait, outside the lock manager, so
+  /// ShardedController installs this manager's wound hook: it dooms the
+  /// victim's top in every shard's registry.
   LockManager& lock_manager() { return locks_; }
 
   /// The delegated inter-object certifier (sharded commit path: sibling
@@ -101,7 +105,7 @@ class MixedController : public Controller {
   // The inter-object layer is a full certifier; delegate to it for
   // dependency bookkeeping, sibling graphs and commit validation.
   CertController certifier_;
-  LockManager locks_;  // serves the kLocal2pl objects
+  LockManager locks_;
   /// Dense per-object policy table, indexed by object id; kUnset slots fall
   /// back to the spec-derived default.  Sized once at construction and
   /// never resized; slots are atomic so SetPolicy never races the

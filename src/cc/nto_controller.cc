@@ -1,7 +1,5 @@
 #include "src/cc/nto_controller.h"
 
-#include <algorithm>
-
 #include "src/runtime/apply.h"
 #include "src/runtime/journal.h"
 #include "src/runtime/wal.h"
@@ -16,10 +14,9 @@ NtoController::NtoController(rt::Recorder& recorder, Granularity granularity,
       fold_threshold_(fold_threshold) {}
 
 void NtoController::OnTopBegin(rt::TxnNode& top) {
-  // Cache the packed slot handle on the node: every per-step doom poll and
-  // recorded journal entry addresses the registry slot directly.  (Under a
-  // sharded topology the handle lands in this shard's slot of the node's
-  // handle array — see Controller::BindShardSlot.)
+  // Cache the packed slot handle in this shard's slot of the node: every
+  // per-step doom poll and recorded journal entry addresses the registry
+  // slot directly.
   SetDepHandle(top, deps_.Register(top.uid(), top.hts().top_component()).raw());
 }
 
@@ -192,39 +189,10 @@ bool NtoController::OnTopCommit(rt::TxnNode& top, AbortReason* reason) {
   return true;
 }
 
-namespace {
-
-void CollectObjects(rt::TxnNode& node, std::vector<rt::Object*>& out) {
-  for (const rt::UndoRecord& u : node.undo_log()) {
-    if (std::find(out.begin(), out.end(), u.object) == out.end()) {
-      out.push_back(u.object);
-    }
-  }
-  for (auto& child : node.children()) CollectObjects(*child, out);
-}
-
-}  // namespace
-
 void NtoController::OnAbort(rt::TxnNode& node) {
   // Mark the subtree's journal entries aborted and rebuild each touched
   // object's state from its base (see the recovery note in the header).
-  // Marking precedes MarkAborted, which the lock-free scans' recheck
-  // protocol relies on; the rebuild front-runs the doom cascade and
-  // excludes doomed transactions' entries (rebuild soundness — see
-  // Object::AbortEntriesAndRebuild and docs/journal.md).
-  std::vector<rt::Object*> touched;
-  CollectObjects(node, touched);
-  const DepRef top_ref = DepRef::FromRaw(DepHandleOf(*node.top()));
-  for (rt::Object* obj : touched) {
-    obj->AbortEntriesAndRebuild(
-        node.uid(), [&] { deps_.DoomSuccessorsTransitively(top_ref); },
-        [&](uint64_t dep_raw) {
-          return deps_.IsDoomed(DepRef::FromRaw(dep_raw));
-        });
-  }
-  if (node.parent() == nullptr) {
-    deps_.MarkAborted(DepRef::FromRaw(DepHandleOf(node)));
-  }
+  AbortAndRebuild(node, deps_);
 }
 
 void NtoController::OnTopFinished(rt::TxnNode&) {

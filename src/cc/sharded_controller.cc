@@ -10,22 +10,21 @@
 
 namespace objectbase::cc {
 
-ShardedController::ShardedController(ShardedKind kind,
-                                     std::vector<Shard> shards)
-    : kind_(kind), shards_(std::move(shards)) {
-  if (kind_ == ShardedKind::kMixed) {
-    // Replace each shard's wound hook (MixedController installed one that
-    // dooms only its own registry): a cross-shard victim may be parked in
-    // ANY shard's commit-wait or in the cross-shard poll, so the wound must
-    // doom every registration.  Stale/zero handles make Doom a no-op, so a
-    // top wounded before its first step on some shard is still safe.
-    for (Shard& sh : shards_) {
-      sh.locks->SetWoundHook([this](rt::TxnNode& top) {
-        for (uint32_t s = 0; s < num_shards(); ++s) {
-          shards_[s].deps->Doom(DepRef::FromRaw(top.dep_handle_for(s)));
-        }
-      });
-    }
+ShardedController::ShardedController(std::vector<Shard> shards)
+    : shards_(std::move(shards)) {
+  for (Shard& sh : shards_) {
+    if (sh.locks == nullptr || sh.deps == nullptr) continue;
+    // MIXED: a wound victim can be blocked outside the lock manager — in
+    // ANY shard's commit-wait or in the cross-shard poll — where it never
+    // passes a wound observation point.  Dooming its registration on every
+    // shard makes each of those waits unwind with kDoomed.  Stale/zero
+    // handles make Doom a no-op, so a top wounded before its first step on
+    // some shard is still safe.
+    sh.locks->SetWoundHook([this](rt::TxnNode& top) {
+      for (uint32_t s = 0; s < num_shards(); ++s) {
+        shards_[s].deps->Doom(DepRef::FromRaw(top.dep_handle_for(s)));
+      }
+    });
   }
 }
 
@@ -47,24 +46,8 @@ OpOutcome ShardedController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
 }
 
 void ShardedController::OnChildCommit(rt::TxnNode& child) {
-  if (shards_[0].locks == nullptr) {
-    // NTO/CERT: OnChildCommit is protocol-free bookkeeping (none today).
-    shards_[0].controller->OnChildCommit(child);
-    return;
-  }
-  rt::TxnNode* parent = child.parent();
-  if (parent == nullptr) return;
-  // Rule 5 fanned out: every shard's manager reassigns the child's entries
-  // in ITS tables; the destructive locked-object bookkeeping runs exactly
-  // once here (see LockManager::TransferToParentObjects).
-  const std::vector<uint32_t> objects = child.SnapshotLockedObjects();
-  if (!objects.empty()) {
-    for (Shard& sh : shards_) {
-      sh.locks->TransferToParentObjects(child, *parent, objects);
-    }
-  }
-  child.TakeLockedObjects();
-  parent->MergeLockedObjects(objects);
+  // Each shard's controller acts on its own tables (N2PL/MIXED rule 5).
+  for (Shard& sh : shards_) sh.controller->OnChildCommit(child);
 }
 
 void ShardedController::FinishOthers(rt::TxnNode& top, uint32_t home) {
@@ -80,7 +63,7 @@ bool ShardedController::OnTopCommit(rt::TxnNode& top, AbortReason* reason) {
   const uint64_t touched = top.touched_shards();
   if (__builtin_popcountll(touched) <= 1) {
     // Single-shard (or step-free) top: the home shard's controller commits
-    // it exactly as the classic wiring would.
+    // it by its own protocol.
     const uint32_t home =
         touched == 0 ? 0 : static_cast<uint32_t>(__builtin_ctzll(touched));
     if (!shards_[home].controller->OnTopCommit(top, reason)) return false;
@@ -280,50 +263,10 @@ bool ShardedController::CommitCrossShard(rt::TxnNode& top, uint64_t touched,
   return true;
 }
 
-namespace {
-
-void CollectObjects(rt::TxnNode& node, std::vector<rt::Object*>& out) {
-  for (const rt::UndoRecord& u : node.undo_log()) {
-    if (std::find(out.begin(), out.end(), u.object) == out.end()) {
-      out.push_back(u.object);
-    }
-  }
-  for (auto& child : node.children()) CollectObjects(*child, out);
-}
-
-}  // namespace
-
 void ShardedController::OnAbort(rt::TxnNode& node) {
-  // Lock release mirrors the per-kind inner semantics: N2PL/MIXED release
-  // the subtree's locks on any abort; GEMSTONE's whole-object locks are
-  // owned by the TOP, so a child abort must not release them.
-  if (shards_[0].locks != nullptr &&
-      (kind_ != ShardedKind::kGemstone || node.parent() == nullptr)) {
-    for (Shard& sh : shards_) sh.locks->ReleaseSubtree(node);
-  }
-  if (RollbackByRebuild()) {
-    // Rebuild each touched object against ITS shard's registry: the
-    // object's journal entries carry that shard's DepRefs, and the doom
-    // cascade must run where the successors' edges live.
-    std::vector<rt::Object*> touched;
-    CollectObjects(node, touched);
-    rt::TxnNode& top = *node.top();
-    for (rt::Object* obj : touched) {
-      DependencyGraph* deps = shards_[obj->shard()].deps;
-      const DepRef top_ref =
-          DepRef::FromRaw(top.dep_handle_for(obj->shard()));
-      obj->AbortEntriesAndRebuild(
-          node.uid(), [&] { deps->DoomSuccessorsTransitively(top_ref); },
-          [&](uint64_t dep_raw) {
-            return deps->IsDoomed(DepRef::FromRaw(dep_raw));
-          });
-    }
-  }
-  if (node.parent() == nullptr && shards_[0].deps != nullptr) {
-    for (uint32_t s = 0; s < num_shards(); ++s) {
-      shards_[s].deps->MarkAborted(DepRef::FromRaw(node.dep_handle_for(s)));
-    }
-  }
+  // Each shard's controller releases its own locks and rebuilds its own
+  // objects against its own registry (Controller::AbortAndRebuild).
+  for (Shard& sh : shards_) sh.controller->OnAbort(node);
 }
 
 void ShardedController::OnTopFinished(rt::TxnNode& top) {

@@ -1,15 +1,16 @@
 // ShardedController: shard-aware routing over per-shard protocol instances.
 //
 // Partitioning (docs/sharding.md): objects are assigned to shards by id
-// (rt::ShardedBase), and each shard owns a COMPLETE controller stack — its
-// own protocol instance, DependencyGraph, LockManager and (when durability
-// is on) WAL.  A local step routes to its object's shard and runs exactly
-// the classic single-controller path there; nothing a single-shard
-// transaction does synchronises across shards.
+// (rt::ShardedBase; a plain rt::ObjectBase is one shard), and each shard
+// owns a COMPLETE controller stack — its own protocol instance,
+// DependencyGraph, LockManager and (when durability is on) WAL.  The
+// Executor always composes its shards under this layer.  A local step
+// routes to its object's shard and runs that shard's protocol; nothing a
+// single-shard transaction does synchronises across shards.
 //
 // Soundness under Theorem 5: each shard's controller keeps its own slice
-// locally serialisable (condition (a)) exactly as in the unsharded wiring —
-// sharding only partitions which instance watches which object.  What needs
+// locally serialisable (condition (a)) — sharding only partitions which
+// instance watches which object.  What needs
 // new machinery is the INTER-shard order (condition (b) lifted to the
 // serialisation graph over top-level transactions):
 //
@@ -48,13 +49,15 @@
 // (any cycle spanning shards has one — an edge on shard S needs both
 // endpoints to have stepped on S) resolves it via its poll budget.
 //
-// Aborts: locks release per shard (each manager owns only its tables);
-// rebuild-based rollback groups the subtree's objects by shard and rebuilds
-// each against ITS shard's registry (journal entries carry per-shard
-// DepRefs).  A top-level abort settles the registration on every shard.
+// Aborts and child commits fan out to every shard's controller, which runs
+// its protocol's own rule on its own state: locks release and pass to the
+// parent per shard (each manager owns only its tables), and rebuild-based
+// rollback rebuilds the shard's own objects against ITS registry (journal
+// entries carry per-shard DepRefs).  A top-level abort settles the
+// registration on every shard.
 //
-// Wound-wait: each shard's lock manager wounds through a hook that dooms
-// the victim in EVERY shard's registry — a cross-shard victim may be parked
+// Wound-wait: under MIXED each shard's lock manager wounds through a hook
+// that dooms the victim in EVERY shard's registry — a cross-shard victim may be parked
 // in any shard's commit-wait (or in the cross-shard poll), and a doom is
 // the one signal all of those observe.
 //
@@ -84,10 +87,7 @@ class WalWriter;
 
 namespace objectbase::cc {
 
-/// Which protocol the shards run (fixes the abort/commit fan-out shape).
-enum class ShardedKind { kN2pl, kNto, kCert, kGemstone, kMixed };
-
-class ShardedController : public Controller {
+class ShardedController final : public Controller {
  public:
   /// One shard's controller stack.  `controller` owns the instance; the
   /// raw pointers are non-owning views into it (or the Executor's per-shard
@@ -101,11 +101,11 @@ class ShardedController : public Controller {
   };
 
   /// `shards` must be non-empty; every entry must already be bound to its
-  /// slot (Controller::BindShardSlot) and, for the locking kinds, share one
-  /// waits-for graph (LockManager::ShareWaitsForGraph).  For kMixed the
-  /// constructor replaces each shard's wound hook with the all-shards doom
-  /// (see the header note).
-  ShardedController(ShardedKind kind, std::vector<Shard> shards);
+  /// slot (Controller::BindShardSlot) and, for the locking protocols, share
+  /// one waits-for graph (LockManager::ShareWaitsForGraph).  Where a shard
+  /// has both a lock manager and a registry (MIXED), the constructor sets
+  /// the manager's wound hook to the all-shards doom (see the header note).
+  explicit ShardedController(std::vector<Shard> shards);
 
   const char* name() const override { return shards_[0].controller->name(); }
   bool SupportsPartialAbort() const override {
@@ -165,7 +165,6 @@ class ShardedController : public Controller {
     void Unregister(uint64_t uid);
   };
 
-  const ShardedKind kind_;
   std::vector<Shard> shards_;
   CommitRegistry registry_;
   uint64_t poll_budget_us_ = 100'000;

@@ -31,6 +31,8 @@ struct AppliedOutcome {
 /// redo record inside the same critical section (write-ahead durability;
 /// the order key is the journal position when one exists, the staging
 /// position otherwise — either is the true per-object application order).
+/// `dep_raw` is the top's registry handle in the calling controller's shard
+/// (journaled protocols only).
 ///
 /// Order keys: the per-object application order — the exact part of the
 /// formal < relation — is the journal position for journaled protocols and
@@ -58,9 +60,7 @@ inline AppliedOutcome ApplyLocked(TxnNode& txn, Object& obj,
     entry.seq = raw;
     entry.exec_uid = txn.uid();
     entry.top_uid = txn.top()->uid();
-    // `dep_raw` lets a shard-bound caller pass its per-shard registry
-    // handle; 0 falls back to the classic single-registry handle.
-    entry.dep = dep_raw != 0 ? dep_raw : txn.top()->dep_handle();
+    entry.dep = dep_raw;
     entry.top_serial = txn.top()->hts().top_component();
     entry.chain = txn.ChainPtr();
     entry.hts = txn.HtsSnapshot();

@@ -27,72 +27,58 @@ const char* ProtocolName(Protocol p) {
 
 namespace {
 
-/// One protocol instance plus non-owning views into its components — the
-/// factored body of the old constructor switch, built once for the classic
-/// wiring and once PER SHARD for the sharded one.
-struct BuiltController {
-  std::unique_ptr<cc::Controller> controller;
+/// One shard's protocol instance, with non-owning views into its
+/// components.
+struct BuiltShard {
+  cc::ShardedController::Shard shard;
   cc::MixedController* mixed = nullptr;
-  cc::LockManager* locks = nullptr;
-  cc::DependencyGraph* deps = nullptr;
-  cc::CertController* cert = nullptr;
 };
 
-BuiltController BuildController(const ExecutorOptions& o, Recorder& recorder,
-                                size_t num_objects) {
-  BuiltController b;
+BuiltShard BuildShard(const ExecutorOptions& o, Recorder& recorder,
+                      size_t num_objects) {
+  BuiltShard b;
+  cc::ShardedController::Shard& sh = b.shard;
   switch (o.protocol) {
     case Protocol::kN2pl: {
       auto c = std::make_unique<cc::N2plController>(recorder, o.granularity);
-      b.locks = &c->lock_manager();
-      b.controller = std::move(c);
+      sh.locks = &c->lock_manager();
+      sh.controller = std::move(c);
       break;
     }
     case Protocol::kNto: {
       auto c = std::make_unique<cc::NtoController>(
           recorder, o.granularity, o.nto_gc, o.journal_fold_threshold);
-      b.deps = &c->deps();
-      b.controller = std::move(c);
+      sh.deps = &c->deps();
+      sh.controller = std::move(c);
       break;
     }
     case Protocol::kCert: {
       auto c = std::make_unique<cc::CertController>(
           recorder, o.granularity, o.journal_fold_threshold);
-      b.cert = c.get();
-      b.deps = &c->deps();
-      b.controller = std::move(c);
+      sh.cert = c.get();
+      sh.deps = &c->deps();
+      sh.controller = std::move(c);
       break;
     }
     case Protocol::kGemstone: {
       auto c = std::make_unique<cc::GemstoneController>(recorder);
-      b.locks = &c->lock_manager();
-      b.controller = std::move(c);
+      sh.locks = &c->lock_manager();
+      sh.controller = std::move(c);
       break;
     }
     case Protocol::kMixed: {
       auto c = std::make_unique<cc::MixedController>(
           recorder, num_objects, o.journal_fold_threshold);
       b.mixed = c.get();
-      b.locks = &c->lock_manager();
-      b.cert = &c->certifier();
-      b.deps = &c->certifier().deps();
-      b.controller = std::move(c);
+      sh.locks = &c->lock_manager();
+      sh.cert = &c->certifier();
+      sh.deps = &c->certifier().deps();
+      sh.controller = std::move(c);
       break;
     }
   }
-  if (b.locks != nullptr) b.locks->SetContentionPolicy(o.contention_policy);
+  if (sh.locks != nullptr) sh.locks->SetContentionPolicy(o.contention_policy);
   return b;
-}
-
-cc::ShardedKind KindOf(Protocol p) {
-  switch (p) {
-    case Protocol::kN2pl: return cc::ShardedKind::kN2pl;
-    case Protocol::kNto: return cc::ShardedKind::kNto;
-    case Protocol::kCert: return cc::ShardedKind::kCert;
-    case Protocol::kGemstone: return cc::ShardedKind::kGemstone;
-    case Protocol::kMixed: return cc::ShardedKind::kMixed;
-  }
-  return cc::ShardedKind::kN2pl;
 }
 
 }  // namespace
@@ -102,58 +88,35 @@ Executor::Executor(ObjectBase& base, ExecutorOptions options)
       options_(options),
       recorder_(options.record),
       branch_pool_(base.num_shards()) {
-  const uint32_t shards = base_.num_shards();
   const bool durable =
       options_.durability != Durability::kNone && !options_.wal_path.empty();
-  if (shards > 1) {
-    // Sharded wiring (the base is a rt::ShardedBase): one complete
-    // controller stack per shard, composed under the routing layer.
-    std::vector<cc::ShardedController::Shard> built;
-    built.reserve(shards);
-    for (uint32_t s = 0; s < shards; ++s) {
-      BuiltController b = BuildController(options_, recorder_, base_.size());
-      b.controller->BindShardSlot(s);
-      if (b.locks != nullptr) {
-        // All shards declare lock waits in ONE graph; a cross-shard lock
-        // cycle is invisible to any per-shard fragment.
-        if (!shared_wfg_) shared_wfg_ = std::make_unique<cc::WaitsForGraph>();
-        b.locks->ShareWaitsForGraph(shared_wfg_.get());
-        if (lock_manager_ == nullptr) lock_manager_ = b.locks;
-      }
-      if (b.mixed != nullptr) {
-        shard_mixeds_.push_back(b.mixed);
-        if (mixed_ == nullptr) mixed_ = b.mixed;
-      }
-      cc::ShardedController::Shard sh;
-      if (durable) {
-        // Per-shard logs (shard 0 keeps the configured path, so shards=1
-        // stays file-compatible).  Attach AFTER ShareWaitsForGraph: MIXED
-        // routes durability waits into its manager's CURRENT graph.
-        shard_wals_.push_back(std::make_unique<WalWriter>(
-            WalOptions{ShardWalPath(options_.wal_path, s)}));
-        b.controller->AttachWal(shard_wals_.back().get());
-        sh.wal = shard_wals_.back().get();
-      }
-      sh.cert = b.cert;
-      sh.deps = b.deps;
-      sh.locks = b.locks;
-      sh.controller = std::move(b.controller);
-      built.push_back(std::move(sh));
+  // One complete controller stack per shard (a plain ObjectBase is one
+  // shard), composed under the routing layer.
+  std::vector<cc::ShardedController::Shard> shards;
+  shards.reserve(base_.num_shards());
+  for (uint32_t s = 0; s < base_.num_shards(); ++s) {
+    BuiltShard b = BuildShard(options_, recorder_, base_.size());
+    cc::ShardedController::Shard& sh = b.shard;
+    sh.controller->BindShardSlot(s);
+    if (sh.locks != nullptr) {
+      // All shards declare lock waits in ONE graph; a cross-shard lock
+      // cycle is invisible to any per-shard fragment.
+      if (!shared_wfg_) shared_wfg_ = std::make_unique<cc::WaitsForGraph>();
+      sh.locks->ShareWaitsForGraph(shared_wfg_.get());
     }
-    auto sharded = std::make_unique<cc::ShardedController>(
-        KindOf(options_.protocol), std::move(built));
-    sharded_ = sharded.get();
-    controller_ = std::move(sharded);
-  } else {
-    BuiltController b = BuildController(options_, recorder_, base_.size());
-    mixed_ = b.mixed;
-    lock_manager_ = b.locks;
-    controller_ = std::move(b.controller);
+    if (b.mixed != nullptr) mixeds_.push_back(b.mixed);
     if (durable) {
-      wal_ = std::make_unique<WalWriter>(WalOptions{options_.wal_path});
-      controller_->AttachWal(wal_.get());
+      // One log per shard; shard 0's is the configured path.  Attach AFTER
+      // ShareWaitsForGraph: MIXED routes durability waits into its
+      // manager's CURRENT graph.
+      wals_.push_back(std::make_unique<WalWriter>(
+          WalOptions{ShardWalPath(options_.wal_path, s)}));
+      sh.wal = wals_.back().get();
+      sh.controller->AttachWal(sh.wal);
     }
+    shards.push_back(std::move(sh));
   }
+  controller_ = std::make_unique<cc::ShardedController>(std::move(shards));
   supports_partial_abort_ = controller_->SupportsPartialAbort();
   method_tables_.resize(base_.size());
   recorder_.Reset(base_);
@@ -162,12 +125,10 @@ Executor::Executor(ObjectBase& base, ExecutorOptions options)
 Executor::~Executor() = default;
 
 WalRecoveryResult Executor::Recover(const std::string& log_path) {
-  // A sharded base recovers from the matching family of per-shard logs
-  // (the cross-log atomicity rule lives in RecoverShardedWalInto).
+  // The per-shard logs recover together (the cross-log atomicity rule
+  // lives in RecoverShardedWalInto).
   WalRecoveryResult result =
-      base_.num_shards() > 1
-          ? RecoverShardedWalInto(log_path, base_.num_shards(), base_)
-          : RecoverWalInto(log_path, base_);
+      RecoverShardedWalInto(log_path, base_.num_shards(), base_);
   // Re-snapshot initial states so recorded histories (and their oracles)
   // start from the recovered baseline.
   recorder_.Reset(base_);
@@ -247,19 +208,15 @@ MethodRef Executor::Resolve(ObjectHandle object, const std::string& method) {
 bool Executor::SetIntraPolicy(const std::string& object,
                               cc::IntraPolicy policy) {
   Object* obj = base_.Find(object);
-  if (obj == nullptr || mixed_ == nullptr) return false;
-  const uint32_t object_id = obj->id();
-  if (!shard_mixeds_.empty()) {
-    // Sharded MIXED: the object lives on exactly one shard, but policy maps
-    // are per-instance and cheap — keep them all in agreement so routing
-    // changes (pinning) can never observe a stale policy.
-    bool ok = true;
-    for (cc::MixedController* m : shard_mixeds_) {
-      ok = m->SetPolicy(object_id, policy) && ok;
-    }
-    return ok;
+  if (obj == nullptr || mixeds_.empty()) return false;
+  // The object lives on exactly one shard, but policy maps are per-instance
+  // and cheap — keep them all in agreement so routing changes (pinning) can
+  // never observe a stale policy.
+  bool ok = true;
+  for (cc::MixedController* m : mixeds_) {
+    ok = m->SetPolicy(obj->id(), policy) && ok;
   }
-  return mixed_->SetPolicy(object_id, policy);
+  return ok;
 }
 
 void Executor::ResetStats() {
@@ -272,11 +229,11 @@ void Executor::ResetStats() {
 
 void Executor::NoteThreadRunning(TxnNode* node) {
   // Only the lock-based protocols track threads (deadlock detection).
-  if (lock_manager_ == nullptr) return;
+  if (shared_wfg_ == nullptr) return;
   if (node == nullptr) {
-    lock_manager_->NoteFinished(cc::ThisThreadKey());
+    shared_wfg_->ClearRunning(cc::ThisThreadKey());
   } else {
-    lock_manager_->NoteRunning(cc::ThisThreadKey(), node);
+    shared_wfg_->SetRunning(cc::ThisThreadKey(), node);
   }
 }
 
@@ -332,15 +289,13 @@ TxnResult Executor::RunAttempt(const std::string& name, const MethodFn& body,
     controller_->OnTopFinished(*top);
     NoteThreadFinished();
     stats_.committed.fetch_add(1);
-    if (sharded_ != nullptr) {
-      const uint64_t touched = top->touched_shards();
-      const size_t slot =
-          __builtin_popcountll(touched) > 1
-              ? Stats::kCrossShardSlot
-              : (touched == 0 ? 0 : static_cast<size_t>(
-                                        __builtin_ctzll(touched)));
-      stats_.committed_by_shard[slot].fetch_add(1, std::memory_order_relaxed);
-    }
+    const uint64_t touched = top->touched_shards();
+    const size_t slot =
+        __builtin_popcountll(touched) > 1
+            ? Stats::kCrossShardSlot
+            : (touched == 0 ? 0
+                            : static_cast<size_t>(__builtin_ctzll(touched)));
+    stats_.committed_by_shard[slot].fetch_add(1, std::memory_order_relaxed);
     result.committed = true;
     result.ret = std::move(v);
     return result;
@@ -433,11 +388,9 @@ void Executor::AbortSubtree(TxnNode& node, cc::AbortReason reason) {
     // — before the aborting child's parent can resume — so the abort
     // marker always precedes the top's commit marker in the log.
     // Top-level aborts need no marker: a commit record for that attempt's
-    // uid can never exist.  Sharded: staged on every shard's log (abort
-    // markers on logs the subtree never wrote to are harmless no-ops at
-    // recovery).
-    if (wal_ != nullptr) wal_->StageAbort(node.uid());
-    for (auto& w : shard_wals_) w->StageAbort(node.uid());
+    // uid can never exist.  Staged on every shard's log (abort markers on
+    // logs the subtree never wrote to are harmless no-ops at recovery).
+    for (auto& w : wals_) w->StageAbort(node.uid());
   }
   if (controller_->RollbackByRebuild()) {
     // The controller rebuilds object states from their journals in OnAbort.
@@ -528,9 +481,7 @@ std::vector<MethodCtx::InvokeOutcome> MethodCtx::InvokeParallel(
   for (size_t i = 0; i < calls.size(); ++i) {
     const MethodRef& m = calls[i].method;
     const uint32_t shard =
-        (m.object != nullptr && exec_.base_.num_shards() > 1)
-            ? m.object->shard()
-            : BranchPool::kAnyShard;
+        m.object != nullptr ? m.object->shard() : BranchPool::kAnyShard;
     batch.Add(shard, [this, &calls, &outcomes, i, po](bool on_caller) {
       const MethodRef& m = calls[i].method;
       if (m.object == nullptr) {

@@ -50,17 +50,12 @@
 
 #include "src/cc/controller.h"
 #include "src/cc/mixed_controller.h"
+#include "src/cc/sharded_controller.h"
 #include "src/runtime/branch_pool.h"
 #include "src/runtime/object_base.h"
 #include "src/runtime/recorder.h"
 #include "src/runtime/txn.h"
 #include "src/runtime/wal.h"
-
-namespace objectbase::cc {
-class LockManager;
-class ShardedController;
-class WaitsForGraph;
-}  // namespace objectbase::cc
 
 namespace objectbase::rt {
 
@@ -96,11 +91,12 @@ struct ExecutorOptions {
   /// it returns — the writer syncs as soon as a commit is staged, and
   /// commits staged during an fsync share the next one.  A log write or
   /// fsync error aborts the process (fail-stop).  kNone creates no WAL at
-  /// all — the step and commit paths are byte-for-byte the PR-5 behaviour.
+  /// all: no redo is staged and commits wait for no sync.
   Durability durability = Durability::kNone;
-  /// Redo-log file, opened (TRUNCATED) at executor construction.  To
-  /// recover a previous run's log, build the executor with a different
-  /// path (or durability = kNone) and call Recover(old_path) first.
+  /// Redo-log file of shard 0, opened (TRUNCATED) at executor construction;
+  /// shard k > 0 logs to ShardWalPath(wal_path, k).  To recover a previous
+  /// run's logs, build the executor with a different path (or durability =
+  /// kNone) and call Recover(old_path) first.
   std::string wal_path;
 };
 
@@ -195,16 +191,16 @@ class Executor {
   /// or the protocol is not kMixed.
   bool SetIntraPolicy(const std::string& object, cc::IntraPolicy policy);
 
-  /// The MIXED controller, or nullptr for other protocols (read-only
-  /// inspection of the current policies).  Under a sharded topology this
-  /// is shard 0's instance; SetIntraPolicy fans a policy change out to
-  /// every shard.
-  cc::MixedController* mixed() { return mixed_; }
+  /// Shard 0's MIXED controller, or nullptr for other protocols (read-only
+  /// inspection of the current policies).  SetIntraPolicy fans a policy
+  /// change out to every shard.
+  cc::MixedController* mixed() {
+    return mixeds_.empty() ? nullptr : mixeds_[0];
+  }
 
-  /// The sharded routing layer, or nullptr when the base has one shard
-  /// (the classic wiring).  Built automatically when the ObjectBase was
-  /// constructed as a rt::ShardedBase with more than one shard.
-  cc::ShardedController* sharded() { return sharded_; }
+  /// The routing layer over the per-shard controllers; never null.  A
+  /// plain ObjectBase is one shard, a rt::ShardedBase has num_shards().
+  cc::ShardedController* sharded() { return controller_.get(); }
 
   /// The pooled branch scheduler (MethodCtx::InvokeParallel and the
   /// workload runner's dedicated worker mode share it).  Owns no threads
@@ -234,24 +230,20 @@ class Executor {
   ObjectBase& base() { return base_; }
   const ExecutorOptions& options() const { return options_; }
 
-  /// The write-ahead log, or nullptr when durability == kNone.  Under a
-  /// sharded topology, shard 0's log (whose path is the configured
-  /// wal_path; see ShardWalPath).
-  WalWriter* wal() {
-    if (wal_ != nullptr) return wal_.get();
-    return shard_wals_.empty() ? nullptr : shard_wals_[0].get();
-  }
+  /// Shard 0's write-ahead log (whose path is the configured wal_path), or
+  /// nullptr when durability == kNone.
+  WalWriter* wal() { return shard_wal(0); }
 
-  /// Shard `s`'s write-ahead log (sharded topologies), or nullptr.
+  /// Shard `s`'s write-ahead log, or nullptr.
   WalWriter* shard_wal(uint32_t s) {
-    return s < shard_wals_.size() ? shard_wals_[s].get() : nullptr;
+    return s < wals_.size() ? wals_[s].get() : nullptr;
   }
 
-  /// Restart recovery: replays the committed transactions of `log_path`
-  /// into this executor's object base (RecoverWalInto) and re-snapshots
-  /// the recorder's initial states.  Call on a freshly-constructed,
-  /// quiescent executor whose own wal_path differs from `log_path` (the
-  /// constructor truncates its log file).  The base must be populated
+  /// Restart recovery: replays the committed transactions of the logs at
+  /// `log_path` into this executor's object base (RecoverShardedWalInto
+  /// over its shard count) and re-snapshots the recorder's initial states.
+  /// Call on a freshly-constructed, quiescent executor whose own wal_path
+  /// differs from `log_path` (the constructor truncates its log file).  The base must be populated
   /// exactly as it was at the start of the crashed run.
   WalRecoveryResult Recover(const std::string& log_path);
 
@@ -261,10 +253,9 @@ class Executor {
     std::atomic<uint64_t> retries{0};   ///< Re-attempts after an abort.
     std::array<std::atomic<uint64_t>, cc::kNumAbortReasons> aborts_by_reason{};
 
-    /// Sharded topologies only: commits by home shard, with cross-shard
+    /// Commits by home shard (slot 0 on a plain base), with cross-shard
     /// tops counted in the kCrossShardSlot bucket (the per-shard
-    /// throughput the workload runner reports).  Never stamped in the
-    /// classic wiring — the single-shard commit path stays untouched.
+    /// throughput the workload runner reports).
     static constexpr size_t kCrossShardSlot = 64;
     std::array<std::atomic<uint64_t>, kCrossShardSlot + 1>
         committed_by_shard{};
@@ -322,23 +313,18 @@ class Executor {
   ObjectBase& base_;
   ExecutorOptions options_;
   Recorder recorder_;
-  // Sharded wiring only: the one waits-for graph every shard's lock
-  // manager declares into (cross-shard lock cycles are invisible to
-  // per-shard graphs).  Declared before controller_ so it outlives the
-  // managers that point at it.
+  // Locking protocols: the one waits-for graph every shard's lock manager
+  // declares into (cross-shard lock cycles are invisible to per-shard
+  // graphs), and where the executor registers running threads.  Declared
+  // before controller_ so it outlives the managers that point at it.
   std::unique_ptr<cc::WaitsForGraph> shared_wfg_;
-  std::unique_ptr<cc::Controller> controller_;
-  // Declared after controller_ (destroyed first): the writer drains and
-  // stops while the controller — which only holds a raw pointer — is
-  // still alive.  Null iff durability == kNone.
-  std::unique_ptr<WalWriter> wal_;
-  // Sharded wiring: one WAL per shard (wal_ stays null); same destruction
-  // ordering rationale as wal_.
-  std::vector<std::unique_ptr<WalWriter>> shard_wals_;
-  cc::MixedController* mixed_ = nullptr;  // non-null iff protocol == kMixed
-  cc::LockManager* lock_manager_ = nullptr;  // non-null for locking protocols
-  cc::ShardedController* sharded_ = nullptr;  // non-null iff num_shards > 1
-  std::vector<cc::MixedController*> shard_mixeds_;  // sharded kMixed only
+  std::unique_ptr<cc::ShardedController> controller_;
+  // One WAL per shard, empty iff durability == kNone.  Declared after
+  // controller_ (destroyed first): the writers drain and stop while the
+  // controllers — which only hold raw pointers — are still alive.
+  std::vector<std::unique_ptr<WalWriter>> wals_;
+  // Each shard's MIXED controller (empty for other protocols).
+  std::vector<cc::MixedController*> mixeds_;
   bool supports_partial_abort_ = false;
   std::atomic<uint64_t> next_uid_{0};
   std::atomic<uint64_t> next_top_counter_{0};

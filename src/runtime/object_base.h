@@ -36,8 +36,8 @@ class ObjectBase {
   size_t size() const { return objects_.size(); }
 
   /// Shard count of the partition (1 for a plain, unsharded base).  The
-  /// Executor reads this once at construction to pick between the classic
-  /// single-controller wiring and the sharded topology.
+  /// Executor reads this once at construction and builds one controller
+  /// per shard.
   uint32_t num_shards() const { return num_shards_; }
 
   /// Resets every object to its initial state (between benchmark runs).

@@ -12,6 +12,7 @@
 #ifndef OBJECTBASE_RUNTIME_TXN_H_
 #define OBJECTBASE_RUNTIME_TXN_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -89,32 +90,28 @@ class TxnNode {
     return hts_snapshot_;
   }
 
-  // --- dependency-registry handle (top-level nodes only) ---
-  // Packed cc::DepRef of this top's DependencyGraph slot, cached by the
-  // controller's OnTopBegin so the per-step doom poll addresses its slot
-  // directly (one atomic load — no hashing, no registry lookup).  Written
-  // once before the body runs; child threads are spawned after, so plain
-  // reads are safe.
-  void set_dep_handle(uint64_t raw) { dep_handle_ = raw; }
-  uint64_t dep_handle() const { return dep_handle_; }
-
-  // --- per-shard registry handles (sharded topology, top-level only) ---
-  // Under a sharded executor each shard keeps its own DependencyGraph, so a
-  // top carries one handle per shard.  The array is allocated and every
-  // slot written by ShardedController::OnTopBegin, before the body runs
-  // and before any child thread is spawned — the same publication argument
-  // as dep_handle_, so plain reads are safe.
+  // --- per-shard registry handles (top-level nodes only) ---
+  // Each shard keeps its own DependencyGraph, so a top carries one packed
+  // cc::DepRef per shard, cached by that shard's controller in OnTopBegin:
+  // the per-step doom poll addresses its slot directly (one atomic load —
+  // no hashing, no registry lookup).  ShardedController::OnTopBegin sizes
+  // the table and every slot is written before the body runs and before
+  // any child thread is spawned, so plain reads are safe.  Up to
+  // kInlineShardHandles slots live inside the node, so a transaction
+  // allocates nothing for them; wider topologies spill to the heap.
+  static constexpr uint32_t kInlineShardHandles = 4;
   void EnableShardHandles(uint32_t n) {
-    shard_handles_ = std::make_unique<uint64_t[]>(n);
-    for (uint32_t i = 0; i < n; ++i) shard_handles_[i] = 0;
+    if (n > kInlineShardHandles) {
+      spilled_handles_ = std::make_unique<uint64_t[]>(n);
+      shard_handles_ = spilled_handles_.get();
+    }
   }
   uint64_t dep_handle_for(uint32_t shard) const {
-    return shard_handles_ ? shard_handles_[shard] : dep_handle_;
+    return shard_handles_[shard];
   }
   void set_dep_handle_for(uint32_t shard, uint64_t raw) {
     shard_handles_[shard] = raw;
   }
-  bool has_shard_handles() const { return shard_handles_ != nullptr; }
 
   /// Shards this top's steps have touched (bitmask; top-level only).  The
   /// steady-state step path pays one relaxed load — the fetch_or runs only
@@ -133,36 +130,31 @@ class TxnNode {
   void PushUndo(UndoRecord r) { undo_log_.push_back(std::move(r)); }
   std::vector<UndoRecord>& undo_log() { return undo_log_; }
 
-  // --- lock bookkeeping (which objects this execution holds locks on) ---
+  // --- lock bookkeeping (which objects this execution locked) ---
   // Lets the lock manager touch only the relevant tables on inheritance
-  // and release.  Guarded by the node's mutex (parallel children merge
-  // their sets into the parent concurrently).
+  // and release.  Rule 5 merges a committed child's list into its
+  // parent's and leaves the child's own in place: every shard's lock
+  // manager reads it, and merging is idempotent.  Guarded by the node's
+  // mutex (parallel children merge their sets into the parent
+  // concurrently).
   void NoteLockedObject(uint32_t object_id) {
     std::lock_guard<std::mutex> g(mu_);
-    for (uint32_t o : locked_objects_) {
-      if (o == object_id) return;
-    }
-    locked_objects_.push_back(object_id);
-  }
-  std::vector<uint32_t> TakeLockedObjects() {
-    std::lock_guard<std::mutex> g(mu_);
-    return std::move(locked_objects_);
+    AddLockedObjectLocked(object_id);
   }
   void MergeLockedObjects(const std::vector<uint32_t>& objs) {
     std::lock_guard<std::mutex> g(mu_);
-    for (uint32_t o : objs) {
-      bool present = false;
-      for (uint32_t mine : locked_objects_) {
-        if (mine == o) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) locked_objects_.push_back(o);
+    for (uint32_t o : objs) AddLockedObjectLocked(o);
+  }
+  /// Appends to `out` the ids it does not hold yet.
+  void AppendLockedObjects(std::vector<uint32_t>& out) {
+    std::lock_guard<std::mutex> g(mu_);
+    for (uint32_t o : locked_objects_) {
+      if (std::find(out.begin(), out.end(), o) == out.end()) out.push_back(o);
     }
   }
-  std::vector<uint32_t> SnapshotLockedObjects() {
-    std::lock_guard<std::mutex> g(mu_);
+  /// Unguarded view, for rule 5 at this node's commit: every descendant
+  /// has finished by then, so nothing writes the list concurrently.
+  const std::vector<uint32_t>& locked_objects() const {
     return locked_objects_;
   }
 
@@ -212,6 +204,13 @@ class TxnNode {
   model::ExecId exec_id = model::kNoExec;
 
  private:
+  void AddLockedObjectLocked(uint32_t object_id) {
+    for (uint32_t o : locked_objects_) {
+      if (o == object_id) return;
+    }
+    locked_objects_.push_back(object_id);
+  }
+
   uint64_t uid_;
   TxnNode* parent_;
   TxnNode* top_;
@@ -220,8 +219,10 @@ class TxnNode {
   std::string method_;
   // self..top uids (see AncestorChain); shared with journal entries.
   std::shared_ptr<const std::vector<uint64_t>> chain_;
-  uint64_t dep_handle_ = 0;      // packed DepRef of top's registry slot
-  std::unique_ptr<uint64_t[]> shard_handles_;  // per-shard DepRefs (sharded)
+  // Per-shard DepRefs (see EnableShardHandles).
+  uint64_t inline_handles_[kInlineShardHandles] = {};
+  std::unique_ptr<uint64_t[]> spilled_handles_;
+  uint64_t* shard_handles_ = inline_handles_;
   std::atomic<uint64_t> touched_shards_{0};    // shard footprint bitmask
   cc::Hts hts_;
   std::shared_ptr<const cc::Hts> hts_snapshot_;  // see HtsSnapshot()

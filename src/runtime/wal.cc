@@ -162,7 +162,7 @@ bool DecodeRecord(Cursor& c, WalRecord* out) {
     case WalRecordKind::kCommit:
       out->kind = WalRecordKind::kCommit;
       out->top_uid = c.U64();
-      out->order_key = c.U64();  // touched-shard mask (0 = single-log)
+      out->order_key = c.U64();  // touched-shard mask (0 = one shard)
       return !c.fail;
     case WalRecordKind::kAbort:
       out->kind = WalRecordKind::kAbort;
@@ -489,10 +489,10 @@ WalScanResult ScanWal(const std::string& path) {
 
 namespace {
 
-// The replay half shared by single-log and sharded recovery: partitions
+// The replay half of recovery, run once per shard's log: partitions
 // `scan`'s surviving redo records per object and replays them onto `base`,
 // accumulating counters into `result`.  The caller decides which tops are
-// committed — that is the only part that differs across the topologies.
+// committed (the cross-log atomicity rule).
 void ReplayScan(const WalScanResult& scan,
                 const std::unordered_set<uint64_t>& committed,
                 const std::unordered_set<uint64_t>& aborted, ObjectBase& base,
@@ -553,24 +553,6 @@ void ReplayScan(const WalScanResult& scan,
 
 }  // namespace
 
-WalRecoveryResult RecoverWalInto(const std::string& path, ObjectBase& base) {
-  WalRecoveryResult result;
-  WalScanResult scan = ScanWal(path);
-  result.ok = scan.ok;
-  result.torn = scan.torn;
-  result.valid_bytes = scan.valid_bytes;
-  result.frames = scan.frames;
-  if (!scan.ok) return result;
-
-  const std::unordered_set<uint64_t> committed(scan.committed_tops.begin(),
-                                               scan.committed_tops.end());
-  const std::unordered_set<uint64_t> aborted(scan.aborted_subtrees.begin(),
-                                             scan.aborted_subtrees.end());
-  result.committed_tops = committed.size();
-  ReplayScan(scan, committed, aborted, base, result);
-  return result;
-}
-
 std::string ShardWalPath(const std::string& base_path, uint32_t shard) {
   if (shard == 0) return base_path;
   return base_path + ".s" + std::to_string(shard);
@@ -585,8 +567,8 @@ WalRecoveryResult RecoverShardedWalInto(const std::string& base_path,
   for (uint32_t s = 0; s < num_shards; ++s) {
     scans.push_back(ScanWal(ShardWalPath(base_path, s)));
   }
-  // A missing/unreadable shard-0 log is the single-log failure mode; a
-  // missing higher shard's log just contributes nothing (a shard that never
+  // A missing/unreadable shard-0 log fails recovery; a missing higher
+  // shard's log just contributes nothing (a shard that never
   // staged a record may have an empty or absent file after a crash).
   result.ok = scans[0].ok;
   for (const WalScanResult& s : scans) {

@@ -26,13 +26,13 @@
 //     published after fsync, no transaction in a dropped frame was ever
 //     acknowledged.
 //
-//   * Recovery — ScanWal decodes the valid prefix; RecoverWalInto replays
-//     the redo records of committed top-level transactions (minus aborted
-//     subtrees: a kAbort record excises every redo whose ancestor chain
-//     contains the aborted uid) per object in journal-position order onto a
-//     freshly-initialised ObjectBase, re-checking each recorded return
-//     value (step-level legality).  See docs/durability.md for the
-//     soundness argument.
+//   * Recovery — ScanWal decodes the valid prefix of each shard's log;
+//     RecoverShardedWalInto replays the redo records of committed
+//     top-level transactions (minus aborted subtrees: a kAbort record
+//     excises every redo whose ancestor chain contains the aborted uid) per
+//     object in journal-position order onto a freshly-initialised
+//     ObjectBase, re-checking each recorded return value (step-level
+//     legality).  See docs/durability.md for the soundness argument.
 //
 // Watermark soundness (why acknowledged implies consistent): a controller
 // stages its commit marker BEFORE DependencyGraph::MarkCommitted, and any
@@ -146,7 +146,7 @@ class WalWriter {
   /// caller reaches WaitDurable, and a cross-shard commit's per-shard syncs
   /// run in parallel.  Stage BEFORE DependencyGraph::MarkCommitted (see the
   /// watermark-soundness note).
-  /// `shard_mask`: 0 for a single-log commit; under a sharded topology a
+  /// `shard_mask`: 0 for a top whose steps stayed on one shard; a
   /// cross-shard top stages one marker per touched shard's log, each
   /// carrying the full touched-shard bitmask — recovery then treats the
   /// top as committed only if EVERY named log contains its marker (the
@@ -273,23 +273,20 @@ struct WalRecoveryResult {
   size_t ret_mismatches = 0;        ///< Replayed ret != recorded ret.
 };
 
-/// Replays the committed transactions of the log onto `base`, which must be
-/// constructed exactly as it was at the start of the crashed run (same
-/// objects, same initial states).  Per object, surviving redo records are
-/// applied in order_key order; each recorded return value is re-checked
-/// (ret_mismatches stays 0 iff the replay is step-level legal).  Touched
-/// objects get their base state resynchronised (Object::SealRecoveredState),
-/// so the rebuild/fold machinery starts from the recovered state.
-WalRecoveryResult RecoverWalInto(const std::string& path, ObjectBase& base);
-
 /// Log path of shard `shard` under base path `base_path`: the base path
-/// itself for shard 0, `<base_path>.s<k>` otherwise — shard 0's log is the
-/// classic single log, so shards=1 topologies are file-compatible with
-/// unsharded runs.
+/// itself for shard 0, `<base_path>.s<k>` otherwise — so a one-shard base
+/// writes exactly one log, at `base_path`.
 std::string ShardWalPath(const std::string& base_path, uint32_t shard);
 
-/// Sharded recovery: scans every shard's log and replays onto `base`.
-/// A top-level transaction counts as committed iff
+/// Recovery: scans every shard's log and replays the committed
+/// transactions onto `base`, which must be constructed exactly as it was
+/// at the start of the crashed run (same objects, same initial states;
+/// `num_shards` is its shard count, 1 for a plain base).  Per object,
+/// surviving redo records are applied in order_key order; each recorded
+/// return value is re-checked (ret_mismatches stays 0 iff the replay is
+/// step-level legal).  Touched objects get their base state resynchronised
+/// (Object::SealRecoveredState), so the rebuild/fold machinery starts from
+/// the recovered state.  A top-level transaction counts as committed iff
 ///   * some log holds its marker with mask 0 (single-shard commit), or
 ///   * for a masked marker, EVERY log named by the mask holds its marker
 ///     (a crash between the per-shard marker syncs of a cross-shard commit

@@ -93,14 +93,13 @@ RunMetrics RunWorkload(rt::Executor& exec, const WorkloadSpec& spec) {
   metrics.validation_fails = s.AbortsFor(cc::AbortReason::kValidation);
   metrics.cascades = s.AbortsFor(cc::AbortReason::kCascade) +
                      s.AbortsFor(cc::AbortReason::kDoomed);
-  if (const uint32_t shards = exec.base().num_shards(); shards > 1) {
-    metrics.committed_by_shard.resize(shards);
-    for (uint32_t k = 0; k < shards; ++k) {
-      metrics.committed_by_shard[k] = s.committed_by_shard[k].load();
-    }
-    metrics.cross_shard_committed =
-        s.committed_by_shard[rt::Executor::Stats::kCrossShardSlot].load();
+  const uint32_t shards = exec.base().num_shards();
+  metrics.committed_by_shard.resize(shards);
+  for (uint32_t k = 0; k < shards; ++k) {
+    metrics.committed_by_shard[k] = s.committed_by_shard[k].load();
   }
+  metrics.cross_shard_committed =
+      s.committed_by_shard[rt::Executor::Stats::kCrossShardSlot].load();
   return metrics;
 }
 

@@ -54,12 +54,10 @@ struct RunMetrics {
   uint64_t ts_rejects = 0;
   uint64_t validation_fails = 0;
   uint64_t cascades = 0;  ///< kCascade + kDoomed.
-  /// Sharded topologies only: commits whose footprint stayed on a single
-  /// shard, indexed by that shard (size = num_shards; empty under the
-  /// classic single-shard wiring).
+  /// Commits whose footprint stayed on a single shard, indexed by that
+  /// shard (size = num_shards; one slot on a plain base).
   std::vector<uint64_t> committed_by_shard;
-  /// Sharded topologies only: commits that spanned >1 shard (the two-phase
-  /// commit-wait path).
+  /// Commits that spanned >1 shard (the two-phase commit-wait path).
   uint64_t cross_shard_committed = 0;
   /// Wall clock from "every worker released from the start latch" to the
   /// LAST transaction completion — thread spawn/join and metric merging

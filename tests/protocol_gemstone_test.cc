@@ -2,7 +2,8 @@
 // reduction is correct (exclusive whole-object strict 2PL), just slow.
 #include <gtest/gtest.h>
 
-#include "src/cc/gemstone_controller.h"
+#include "src/cc/lock_manager.h"
+#include "src/cc/sharded_controller.h"
 #include "tests/protocol_harness.h"
 
 namespace objectbase::rt {
@@ -131,9 +132,9 @@ TEST(GemstoneProtocolTest, LocksReleasedAtTopCompletion) {
     txn.Invoke("c", "add", {1});
     return Value();
   });
-  auto* ctrl = dynamic_cast<cc::GemstoneController*>(&exec.controller());
-  ASSERT_NE(ctrl, nullptr);
-  EXPECT_EQ(ctrl->lock_manager().LockCount(), 0u);
+  cc::LockManager* locks = exec.sharded()->shard(0).locks;
+  ASSERT_NE(locks, nullptr);
+  EXPECT_EQ(locks->LockCount(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // history under nested two-phase locking must be legal and serialisable.
 #include <gtest/gtest.h>
 
-#include "src/cc/n2pl_controller.h"
+#include "src/cc/lock_manager.h"
+#include "src/cc/sharded_controller.h"
 #include "tests/protocol_harness.h"
 
 namespace objectbase::rt {
@@ -88,9 +89,9 @@ TEST(N2plProtocolTest, LocksFullyReleasedAfterRun) {
       return Value();
     });
   }
-  auto* ctrl = dynamic_cast<cc::N2plController*>(&exec.controller());
-  ASSERT_NE(ctrl, nullptr);
-  EXPECT_EQ(ctrl->lock_manager().LockCount(), 0u);
+  cc::LockManager* locks = exec.sharded()->shard(0).locks;
+  ASSERT_NE(locks, nullptr);
+  EXPECT_EQ(locks->LockCount(), 0u);
 }
 
 }  // namespace

@@ -192,8 +192,8 @@ void RunFuzzRound(uint64_t seed) {
   const bool with_btree = rng.Bernoulli(0.5) || FuzzForceBtree();
   (void)rng.Bernoulli(0.5);  // retired draw, kept so pinned seeds replay
   // Sharding draws (all unconditional, same replay rule): shard count —
-  // 1 exercises the classic wiring, >1 the sharded topology with eager
-  // registration and cross-shard commit-wait; cross_ratio biases how often
+  // 1 is a one-shard base, >1 adds eager registration on several shards
+  // and the cross-shard commit-wait; cross_ratio biases how often
   // a transaction's footprint spans objects (and thus shards).
   const uint32_t shard_counts[] = {1, 2, 4, 8};
   const uint32_t nshards = shard_counts[rng.Uniform(4)];

@@ -1,7 +1,6 @@
-// Sharded topology tests: routing, the single-shard fast path, cross-shard
+// Sharded topology tests: a plain base as one shard, routing, cross-shard
 // two-phase commit-wait, the pinned cross-shard cycle, partial-abort unwind
-// across shards, wound-wait fan-out, the governor→router feed, and the
-// pooled branch scheduler.
+// across shards, wound-wait fan-out, and the pooled branch scheduler.
 //
 // The headline pinned regression is CrossShardCycleDoomedNotCommitted: two
 // transactions are forced (by an interleaving latch) into a serialisation
@@ -10,9 +9,11 @@
 // detect it (or the poll budget must time it out); committing both would be
 // a Theorem 5 violation.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +31,7 @@
 #include "src/model/serialiser.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/object_base.h"
+#include "src/runtime/wal.h"
 
 namespace objectbase::rt {
 namespace {
@@ -46,15 +48,45 @@ void VerifyOracles(Executor& exec, const char* context) {
 
 // --- wiring ------------------------------------------------------------------
 
-TEST(ShardedExecutor, SingleShardBaseUsesClassicWiring) {
-  // shards=1 must build the exact classic topology: no routing layer, no
-  // per-shard WALs, so every PR 3–8 step-path invariant holds verbatim.
-  ShardedBase base(1);
-  base.CreateObject("r", adt::MakeRegisterSpec(0));
-  Executor exec(base, {.protocol = Protocol::kMixed});
-  EXPECT_EQ(exec.sharded(), nullptr);
-  EXPECT_NE(exec.mixed(), nullptr);
-  EXPECT_EQ(base.num_shards(), 1u);
+TEST(ShardedExecutor, PlainBaseIsOneShard) {
+  // A plain ObjectBase runs the same wiring as a ShardedBase: one
+  // controller stack under the routing layer, one log, at wal_path.
+  const std::string wal = ::testing::TempDir() + "/plain_base_one_shard." +
+                          std::to_string(::getpid()) + ".wal";
+  {
+    ObjectBase base;
+    base.CreateObject("c", adt::MakeCounterSpec(0));
+    Executor exec(base, {.protocol = Protocol::kMixed,
+                         .durability = Durability::kGroup,
+                         .wal_path = wal});
+    ASSERT_NE(exec.sharded(), nullptr);
+    EXPECT_EQ(exec.sharded()->num_shards(), 1u);
+    EXPECT_NE(exec.mixed(), nullptr);
+    EXPECT_EQ(exec.wal(), exec.shard_wal(0));
+    EXPECT_EQ(exec.shard_wal(1), nullptr);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(exec.RunTransaction("t", [](MethodCtx& txn) {
+                        txn.Invoke("c", "add", {1});
+                        return Value();
+                      }).committed);
+    }
+    EXPECT_EQ(exec.stats().committed_by_shard[0].load(), 4u);
+  }
+  EXPECT_EQ(::access(ShardWalPath(wal, 1).c_str(), F_OK), -1)
+      << "a one-shard base must write exactly one log";
+
+  ObjectBase fresh;
+  fresh.CreateObject("c", adt::MakeCounterSpec(0));
+  Executor reader(fresh, {.protocol = Protocol::kMixed});
+  WalRecoveryResult r = reader.Recover(wal);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.committed_tops, 4u);
+  EXPECT_EQ(r.ret_mismatches, 0u);
+  EXPECT_EQ(reader.RunTransaction("get", [](MethodCtx& txn) {
+                    return txn.Invoke("c", "get");
+                  }).ret,
+            Value(int64_t{4}));
+  std::remove(wal.c_str());
 }
 
 TEST(ShardedExecutor, ObjectsArePartitionedRoundRobin) {
@@ -70,16 +102,28 @@ TEST(ShardedExecutor, ObjectsArePartitionedRoundRobin) {
 }
 
 TEST(ShardedExecutor, ShardedWiringIsBuiltForEveryProtocol) {
-  for (Protocol p : {Protocol::kN2pl, Protocol::kNto, Protocol::kCert,
-                     Protocol::kGemstone, Protocol::kMixed}) {
-    ShardedBase base(4);
-    base.CreateObject("a", adt::MakeCounterSpec(0));
-    base.CreateObject("b", adt::MakeCounterSpec(0));
-    Executor exec(base, {.protocol = p});
-    ASSERT_NE(exec.sharded(), nullptr) << ProtocolName(p);
-    EXPECT_EQ(exec.sharded()->num_shards(), 4u) << ProtocolName(p);
-    // The routing layer is transparent: it reports the inner protocol.
-    EXPECT_STREQ(exec.controller().name(), ProtocolName(p));
+  // 8 shards exceed TxnNode's inline registry-handle slots, so each top
+  // spills its handle table to the heap.
+  for (uint32_t shards : {4u, 8u}) {
+    for (Protocol p : {Protocol::kN2pl, Protocol::kNto, Protocol::kCert,
+                       Protocol::kGemstone, Protocol::kMixed}) {
+      ShardedBase base(shards);
+      base.CreateObject("a", adt::MakeCounterSpec(0));
+      base.CreateObject("b", adt::MakeCounterSpec(0));
+      Executor exec(base, {.protocol = p});
+      ASSERT_NE(exec.sharded(), nullptr) << ProtocolName(p);
+      EXPECT_EQ(exec.sharded()->num_shards(), shards) << ProtocolName(p);
+      // The routing layer is transparent: it reports the inner protocol.
+      EXPECT_STREQ(exec.controller().name(), ProtocolName(p));
+      EXPECT_TRUE(exec.RunTransaction("ab", [](MethodCtx& txn) {
+                        txn.Invoke("a", "add", {1});
+                        txn.Invoke("b", "add", {1});
+                        return Value();
+                      }).committed)
+          << ProtocolName(p) << " shards=" << shards;
+      EXPECT_EQ(exec.sharded()->cross_shard_commits(), 1u) << ProtocolName(p);
+      VerifyOracles(exec, ProtocolName(p));
+    }
   }
 }
 
@@ -273,7 +317,7 @@ TEST(ShardedExecutor, RebuildProtocolEscalatedAbortUnwindsBothShards) {
     txn.Invoke("a", "span_then_abort", {});  // child spans both shards
     return Value();
   });
-  EXPECT_FALSE(r.committed);  // escalated, as in the classic wiring
+  EXPECT_FALSE(r.committed);  // escalated, as on a one-shard base
   Value a = exec.RunTransaction("read", [](MethodCtx& txn) {
                   return txn.Invoke("a", "get");
                 }).ret;

@@ -256,7 +256,7 @@ TEST(WalRecoveryTest, DropsUncommittedTops) {
     w.StageRedo(0, WalWriter::kOrderByStagePos, 2, 2, chain2, add->id,
                 {Value(int64_t{7})}, Value::None());
   }
-  WalRecoveryResult r = RecoverWalInto(path, base);
+  WalRecoveryResult r = RecoverShardedWalInto(path, 1, base);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.applied, 1u);
   EXPECT_EQ(r.skipped_uncommitted, 1u);
@@ -303,7 +303,7 @@ TEST(WalRecoveryTest, AbortedSubtreeIsExcised) {
 
   ObjectBase fresh;
   fresh.CreateObject("tags", adt::MakeSetSpec());
-  WalRecoveryResult r = RecoverWalInto(path, fresh);
+  WalRecoveryResult r = RecoverShardedWalInto(path, 1, fresh);
   ASSERT_TRUE(r.ok);
   EXPECT_GE(r.skipped_aborted, 1u) << "the aborted insert(99) must be excised";
   EXPECT_EQ(r.ret_mismatches, 0u);
@@ -413,7 +413,7 @@ TEST(WalTornWriteTest, EveryTruncationAndCorruptionOffset) {
     }
     ObjectBase fresh;
     fresh.CreateObject("c", adt::MakeCounterSpec(0));
-    WalRecoveryResult r = RecoverWalInto(victim, fresh);
+    WalRecoveryResult r = RecoverShardedWalInto(victim, 1, fresh);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.ret_mismatches, 0u);
     EXPECT_EQ(r.committed_tops, intact_frames);

@@ -27,6 +27,10 @@ TEST(WorkloadTest, BankingRunsUnderAllProtocols) {
     EXPECT_GT(m.Throughput(), 0.0);
     EXPECT_EQ(m.latency_ns.count(),
               static_cast<uint64_t>(spec.threads) * spec.txns_per_thread);
+    // A plain base is one shard: every commit lands in slot 0.
+    ASSERT_EQ(m.committed_by_shard.size(), 1u);
+    EXPECT_EQ(m.committed_by_shard[0], m.committed);
+    EXPECT_EQ(m.cross_shard_committed, 0u);
   }
 }
 
