@@ -32,10 +32,9 @@ int main() {
       p.theta = 0.2;
       p.ops_per_txn = 6;
       p.spin_per_op = 1000;
-      workload::WorkloadSpec spec = workload::MakeDictionarySpec(p);
-      spec.threads = threads;
-      spec.txns_per_thread = 120 * scale;
-      spec.seed = 13 + threads;
+      workload::FsmWorkload w = workload::MakeDictionaryWorkload(p);
+      w.threads = threads;
+      w.iterations = 120 * scale;
 
       rt::ObjectBase base;
       workload::SetupDictionary(base, p);
@@ -47,19 +46,18 @@ int main() {
         // crabbing via supports_concurrent_apply.
         exec.SetIntraPolicy("dict-total", cc::IntraPolicy::kOptimistic);
       }
-      workload::RunMetrics m = workload::RunWorkload(exec, spec);
+      bench::MixRow m = bench::RunMix(exec, w, 13 + threads);
       table.AddRow({cfg.name, TablePrinter::Fmt(int64_t{threads}),
                     TablePrinter::Fmt(m.Throughput(), 0),
                     TablePrinter::Fmt(m.AbortRatio(), 3),
-                    TablePrinter::Fmt(
-                        m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                    TablePrinter::Fmt(m.P99Ms(), 2)});
       bench::JsonLine("mixed_cc")
           .Field("name", cfg.name)
           .Field("threads", threads)
           .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
           .Field("throughput", m.Throughput())
           .Field("abort_ratio", m.AbortRatio())
-          .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+          .Field("p99_ms", m.P99Ms())
           .Emit();
     }
   }

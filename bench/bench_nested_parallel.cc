@@ -25,26 +25,25 @@ int main() {
     p.work_per_child = kTotalWork / fanout;
     p.shards_per_thread = 8;
     p.spin_per_op = 150000;  // long-running child methods (~75us/op)
-    workload::WorkloadSpec spec = workload::MakeFanoutSpec(p);
-    spec.threads = kThreads;
-    spec.txns_per_thread = 10 * scale;
-    spec.seed = 5;
-    workload::RunMetrics m = bench::RunOnce(
-        [&](rt::ObjectBase& base) {
-          workload::SetupFanout(base, p, kThreads);
-        },
-        spec, rt::Protocol::kN2pl, cc::Granularity::kStep);
-    double mean_ms = m.latency_ns.Mean() / 1e6;
+    rt::ObjectBase base;
+    workload::SetupFanout(base, p, kThreads);
+    rt::Executor exec(base,
+                      {.protocol = rt::Protocol::kN2pl, .record = false});
+    workload::FsmWorkload w = workload::MakeFanoutWorkload(p);
+    w.threads = kThreads;
+    w.iterations = 10 * scale;
+    bench::MixRow m = bench::RunMix(exec, w, 5);
+    double mean_ms = m.run.latency_ns.Mean() / 1e6;
     if (fanout == 1) base_mean = mean_ms;
     table.AddRow({TablePrinter::Fmt(int64_t{fanout}),
                   TablePrinter::Fmt(mean_ms, 3),
-                  TablePrinter::Fmt(m.latency_ns.Percentile(0.99) / 1e6, 3),
+                  TablePrinter::Fmt(m.P99Ms(), 3),
                   TablePrinter::Fmt(m.Throughput(), 0),
                   TablePrinter::Fmt(base_mean / mean_ms, 2)});
     bench::JsonLine("nested_parallel")
         .Field("name", "fanout")
         .Field("fanout", fanout)
-        .Field("ns_per_op", m.latency_ns.Mean())
+        .Field("ns_per_op", m.run.latency_ns.Mean())
         .Field("throughput", m.Throughput())
         .Field("speedup", base_mean / mean_ms)
         .Emit();

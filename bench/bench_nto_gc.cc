@@ -28,9 +28,11 @@ int main() {
       for (int i = 0; i < kObjects; ++i) {
         base.CreateObject("c" + std::to_string(i), adt::MakeCounterSpec(0));
       }
-      rt::Executor exec(base, {.protocol = rt::Protocol::kNto,
-                               .record = false,
-                               .nto_gc = gc});
+      // A fold threshold of 0 turns the watermark GC off.
+      rt::ExecutorOptions options{.protocol = rt::Protocol::kNto,
+                                  .record = false};
+      if (!gc) options.journal_fold_threshold = 0;
+      rt::Executor exec(base, options);
       Rng rng(1);
       Stopwatch clock;
       for (int i = 0; i < txns * scale; ++i) {

@@ -51,13 +51,13 @@ int main(int argc, char** argv) {
         p.audit_weight = 0.05;
         p.audit_scan = 3;
         p.spin_per_op = 20000;  // methods are "quite long programmes"
-        workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-        spec.threads = threads;
-        spec.txns_per_thread = 100 * scale;
-        spec.seed = 42 + accounts + threads;
-        workload::RunMetrics m = bench::RunOnce(
-            [&](rt::ObjectBase& base) { workload::SetupBanking(base, p); },
-            spec, protocol, cc::Granularity::kStep);
+        rt::ObjectBase base;
+        workload::SetupBanking(base, p);
+        rt::Executor exec(base, {.protocol = protocol, .record = false});
+        workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+        w.threads = threads;
+        w.iterations = 100 * scale;
+        bench::MixRow m = bench::RunMix(exec, w, 42 + accounts + threads);
         table.AddRow({rt::ProtocolName(protocol),
                       TablePrinter::Fmt(int64_t{threads}),
                       TablePrinter::Fmt(m.Throughput(), 0),
@@ -66,18 +66,17 @@ int main(int argc, char** argv) {
                       TablePrinter::Fmt(m.ts_rejects),
                       TablePrinter::Fmt(m.validation_fails),
                       TablePrinter::Fmt(m.cascades),
-                      TablePrinter::Fmt(
-                          m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                      TablePrinter::Fmt(m.P99Ms(), 2)});
         bench::JsonLine("protocols")
             .Field("name", rt::ProtocolName(protocol))
             .Field("accounts", accounts)
             .Field("threads", threads)
             .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
             .Field("throughput", m.Throughput())
-            .Field("seconds", m.seconds)
+            .Field("seconds", m.run.seconds)
             .Field("abort_ratio", m.AbortRatio())
             .Field("retries", m.retries)
-            .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+            .Field("p99_ms", m.P99Ms())
             .Emit();
       }
     }
@@ -116,29 +115,28 @@ int main(int argc, char** argv) {
         p.audit_weight = 0.05;
         p.audit_scan = 3;
         p.spin_per_op = 0;  // dispatch/recording dominated, not method length
-        workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-        spec.threads = threads;
-        spec.txns_per_thread = 300 * scale;
-        spec.seed = 1000 + threads;
-        workload::RunMetrics m = bench::RunOnce(
-            [&](rt::ObjectBase& base) { workload::SetupBanking(base, p); },
-            spec, protocol, cc::Granularity::kStep, /*nto_gc=*/true, record);
+        rt::ObjectBase base;
+        workload::SetupBanking(base, p);
+        rt::Executor exec(base, {.protocol = protocol, .record = record});
+        workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+        w.threads = threads;
+        w.iterations = 300 * scale;
+        bench::MixRow m = bench::RunMix(exec, w, 1000 + threads);
         scaling.AddRow({rt::ProtocolName(protocol), record ? "on" : "off",
                         TablePrinter::Fmt(int64_t{threads}),
                         TablePrinter::Fmt(m.Throughput(), 0),
                         TablePrinter::Fmt(m.AbortRatio(), 3),
-                        TablePrinter::Fmt(
-                            m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                        TablePrinter::Fmt(m.P99Ms(), 2)});
         bench::JsonLine("thread_scaling")
             .Field("protocol", rt::ProtocolName(protocol))
             .Field("record", record)
             .Field("threads", threads)
             .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
             .Field("throughput", m.Throughput())
-            .Field("seconds", m.seconds)
+            .Field("seconds", m.run.seconds)
             .Field("abort_ratio", m.AbortRatio())
             .Field("retries", m.retries)
-            .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+            .Field("p99_ms", m.P99Ms())
             .Emit();
       }
     }
@@ -173,13 +171,13 @@ int main(int argc, char** argv) {
       p.audit_weight = 0.1;
       p.audit_scan = 4;
       p.spin_per_op = 0;
-      workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-      spec.threads = threads;
-      spec.txns_per_thread = 200 * scale;
-      spec.seed = 5000 + threads;
-      workload::RunMetrics m = bench::RunOnce(
-          [&](rt::ObjectBase& base) { workload::SetupBanking(base, p); },
-          spec, protocol, cc::Granularity::kStep);
+      rt::ObjectBase base;
+      workload::SetupBanking(base, p);
+      rt::Executor exec(base, {.protocol = protocol, .record = false});
+      workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+      w.threads = threads;
+      w.iterations = 200 * scale;
+      bench::MixRow m = bench::RunMix(exec, w, 5000 + threads);
       contention.AddRow({rt::ProtocolName(protocol),
                          TablePrinter::Fmt(int64_t{threads}),
                          TablePrinter::Fmt(m.Throughput(), 0),
@@ -187,8 +185,7 @@ int main(int argc, char** argv) {
                          TablePrinter::Fmt(m.ts_rejects),
                          TablePrinter::Fmt(m.validation_fails),
                          TablePrinter::Fmt(m.cascades),
-                         TablePrinter::Fmt(
-                             m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                         TablePrinter::Fmt(m.P99Ms(), 2)});
       bench::JsonLine("contention_sweep")
           .Field("protocol", rt::ProtocolName(protocol))
           .Field("threads", threads)
@@ -196,10 +193,10 @@ int main(int argc, char** argv) {
           .Field("accounts", 16)
           .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
           .Field("throughput", m.Throughput())
-          .Field("seconds", m.seconds)
+          .Field("seconds", m.run.seconds)
           .Field("abort_ratio", m.AbortRatio())
             .Field("retries", m.retries)
-          .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+          .Field("p99_ms", m.P99Ms())
           .Emit();
     }
   }
@@ -233,28 +230,27 @@ int main(int argc, char** argv) {
       p.audit_weight = 0.5;  // scans dominate
       p.audit_scan = 8;
       p.spin_per_op = 0;  // step-path overhead, not method length
-      workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-      spec.threads = threads;
-      spec.txns_per_thread = 200 * scale;
-      spec.seed = 11000 + threads;
-      workload::RunMetrics m = bench::RunOnce(
-          [&](rt::ObjectBase& base) { workload::SetupBanking(base, p); },
-          spec, protocol, cc::Granularity::kStep, /*nto_gc=*/true,
-          /*record=*/false);
+      rt::ObjectBase base;
+      workload::SetupBanking(base, p);
+      rt::Executor exec(base, {.protocol = protocol, .record = false});
+      workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+      w.threads = threads;
+      w.iterations = 200 * scale;
+      bench::MixRow m = bench::RunMix(exec, w, 11000 + threads);
       jt.AddRow({rt::ProtocolName(protocol),
                  TablePrinter::Fmt(int64_t{threads}),
                  TablePrinter::Fmt(m.Throughput(), 0),
                  TablePrinter::Fmt(m.AbortRatio(), 3),
-                 TablePrinter::Fmt(m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                 TablePrinter::Fmt(m.P99Ms(), 2)});
       bench::JsonLine("journal_scan")
           .Field("protocol", rt::ProtocolName(protocol))
           .Field("threads", threads)
           .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
           .Field("throughput", m.Throughput())
-          .Field("seconds", m.seconds)
+          .Field("seconds", m.run.seconds)
           .Field("abort_ratio", m.AbortRatio())
             .Field("retries", m.retries)
-          .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+          .Field("p99_ms", m.P99Ms())
           .Emit();
     }
   }
@@ -290,12 +286,11 @@ int main(int argc, char** argv) {
         p.audit_weight = 0.05;
         p.audit_scan = 3;
         p.spin_per_op = 0;  // commit-path overhead, not method length
-        workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-        spec.threads = threads;
-        spec.txns_per_thread = 100 * scale;
-        spec.seed = 13000 + threads;
+        workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+        w.threads = threads;
+        w.iterations = 100 * scale;
         uint64_t syncs = 0;
-        workload::RunMetrics m;
+        bench::MixRow m;
         {
           rt::ObjectBase base;
           workload::SetupBanking(base, p);
@@ -305,7 +300,7 @@ int main(int argc, char** argv) {
           o.durability = durability;
           if (durability != rt::Durability::kNone) o.wal_path = wal_path;
           rt::Executor exec(base, o);
-          m = workload::RunWorkload(exec, spec);
+          m = bench::RunMix(exec, w, 13000 + threads);
           if (exec.wal() != nullptr) syncs = exec.wal()->syncs();
         }
         std::remove(wal_path.c_str());
@@ -315,7 +310,7 @@ int main(int argc, char** argv) {
                     TablePrinter::Fmt(m.Throughput(), 0),
                     TablePrinter::Fmt(m.AbortRatio(), 3),
                     TablePrinter::Fmt(syncs),
-                    TablePrinter::Fmt(m.latency_ns.Percentile(0.99) / 1e6,
+                    TablePrinter::Fmt(m.P99Ms(),
                                       2)});
         bench::JsonLine("durability")
             .Field("protocol", rt::ProtocolName(protocol))
@@ -323,11 +318,11 @@ int main(int argc, char** argv) {
             .Field("threads", threads)
             .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
             .Field("throughput", m.Throughput())
-            .Field("seconds", m.seconds)
+            .Field("seconds", m.run.seconds)
             .Field("abort_ratio", m.AbortRatio())
             .Field("retries", m.retries)
             .Field("syncs", syncs)
-            .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+            .Field("p99_ms", m.P99Ms())
             .Emit();
       }
     }
@@ -359,10 +354,9 @@ int main(int argc, char** argv) {
     p.audit_weight = 0.0;  // pure transfers: every committed txn logs redos
     p.audit_scan = 0;
     p.spin_per_op = 0;
-    workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-    spec.threads = 4;
-    spec.txns_per_thread = txns * scale;
-    spec.seed = 17000 + txns;
+    workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+    w.threads = 4;
+    w.iterations = txns * scale;
     {
       rt::ObjectBase base;
       workload::SetupBanking(base, p);
@@ -372,7 +366,7 @@ int main(int argc, char** argv) {
       o.durability = rt::Durability::kGroup;
       o.wal_path = wal_path;
       rt::Executor exec(base, o);
-      workload::RunWorkload(exec, spec);
+      bench::RunMix(exec, w, 17000 + txns);
     }
     rt::ObjectBase fresh;
     workload::SetupBanking(fresh, p);
@@ -429,20 +423,19 @@ int main(int argc, char** argv) {
         p.audit_weight = 0.05;
         p.audit_scan = 3;
         p.spin_per_op = 0;  // recording overhead, not method length
-        workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-        spec.threads = threads;
-        spec.txns_per_thread = 300 * scale;
-        spec.seed = 19000 + threads;
-        workload::RunMetrics m = bench::RunOnce(
-            [&](rt::ObjectBase& base) { workload::SetupBanking(base, p); },
-            spec, protocol, cc::Granularity::kStep, /*nto_gc=*/true, record);
+        rt::ObjectBase base;
+        workload::SetupBanking(base, p);
+        rt::Executor exec(base, {.protocol = protocol, .record = record});
+        workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+        w.threads = threads;
+        w.iterations = 300 * scale;
+        bench::MixRow m = bench::RunMix(exec, w, 19000 + threads);
         recording.AddRow({"banking", rt::ProtocolName(protocol),
                           record ? "on" : "off",
                           TablePrinter::Fmt(int64_t{threads}),
                           TablePrinter::Fmt(m.Throughput(), 0),
                           TablePrinter::Fmt(m.AbortRatio(), 3),
-                          TablePrinter::Fmt(
-                              m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                          TablePrinter::Fmt(m.P99Ms(), 2)});
         bench::JsonLine("recording")
             .Field("workload", "banking")
             .Field("protocol", rt::ProtocolName(protocol))
@@ -450,10 +443,10 @@ int main(int argc, char** argv) {
             .Field("threads", threads)
             .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
             .Field("throughput", m.Throughput())
-            .Field("seconds", m.seconds)
+            .Field("seconds", m.run.seconds)
             .Field("abort_ratio", m.AbortRatio())
             .Field("retries", m.retries)
-            .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+            .Field("p99_ms", m.P99Ms())
             .Emit();
       }
     }
@@ -467,20 +460,19 @@ int main(int argc, char** argv) {
         p.theta = 0.3;
         p.ops_per_txn = 6;
         p.spin_per_op = 0;
-        workload::WorkloadSpec spec = workload::MakeDictionarySpec(p);
-        spec.threads = threads;
-        spec.txns_per_thread = 200 * scale;
-        spec.seed = 21000 + threads;
-        workload::RunMetrics m = bench::RunOnce(
-            [&](rt::ObjectBase& base) { workload::SetupDictionary(base, p); },
-            spec, protocol, cc::Granularity::kStep, /*nto_gc=*/true, record);
+        rt::ObjectBase base;
+        workload::SetupDictionary(base, p);
+        rt::Executor exec(base, {.protocol = protocol, .record = record});
+        workload::FsmWorkload w = workload::MakeDictionaryWorkload(p);
+        w.threads = threads;
+        w.iterations = 200 * scale;
+        bench::MixRow m = bench::RunMix(exec, w, 21000 + threads);
         recording.AddRow({"btree-dict", rt::ProtocolName(protocol),
                           record ? "on" : "off",
                           TablePrinter::Fmt(int64_t{threads}),
                           TablePrinter::Fmt(m.Throughput(), 0),
                           TablePrinter::Fmt(m.AbortRatio(), 3),
-                          TablePrinter::Fmt(
-                              m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                          TablePrinter::Fmt(m.P99Ms(), 2)});
         bench::JsonLine("recording")
             .Field("workload", "btree-dict")
             .Field("protocol", rt::ProtocolName(protocol))
@@ -488,10 +480,10 @@ int main(int argc, char** argv) {
             .Field("threads", threads)
             .Field("ns_per_op", m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
             .Field("throughput", m.Throughput())
-            .Field("seconds", m.seconds)
+            .Field("seconds", m.run.seconds)
             .Field("abort_ratio", m.AbortRatio())
             .Field("retries", m.retries)
-            .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+            .Field("p99_ms", m.P99Ms())
             .Emit();
       }
     }
@@ -520,8 +512,6 @@ int main(int argc, char** argv) {
         for (rt::Protocol protocol :
              {rt::Protocol::kN2pl, rt::Protocol::kNto, rt::Protocol::kCert,
               rt::Protocol::kMixed}) {
-          // bench::RunOnce builds a classic ObjectBase internally, so the
-          // sharded topology is assembled by hand here.
           rt::ShardedBase base(shards);
           for (int i = 0; i < kObjects; ++i) {
             base.CreateObject("c" + std::to_string(i),
@@ -532,15 +522,12 @@ int main(int argc, char** argv) {
                                 .protocol = protocol,
                                 .granularity = cc::Granularity::kStep,
                                 .record = false});
-          workload::WorkloadSpec spec;
-          spec.name = "shard_mix";
-          spec.threads = threads;
-          spec.txns_per_thread = 400 * scale;
-          spec.seed = 47000 + shards * 100 + threads +
-                      static_cast<uint64_t>(xratio * 10);
-          workload::TxnTemplate t;
+          workload::FsmWorkload w;
+          w.name = "shard_mix";
+          w.threads = threads;
+          w.iterations = 400 * scale;
+          workload::FsmState t;
           t.name = "add";
-          t.weight = 1.0;
           t.make = [shards, xratio](Rng& rng) -> rt::MethodFn {
             const int i = static_cast<int>(rng.Uniform(kObjects));
             // A confined transaction touches one object (one shard); a
@@ -556,8 +543,12 @@ int main(int argc, char** argv) {
               return Value();
             };
           };
-          spec.mix.push_back(std::move(t));
-          workload::RunMetrics m = workload::RunWorkload(exec, spec);
+          w.states = {std::move(t)};
+          w.transitions = {{1.0}};
+          bench::MixRow m = bench::RunMix(
+              exec, w,
+              47000 + shards * 100 + threads +
+                  static_cast<uint64_t>(xratio * 10));
           shardt.AddRow({rt::ProtocolName(protocol),
                          TablePrinter::Fmt(int64_t{shards}),
                          TablePrinter::Fmt(int64_t{threads}),
@@ -565,8 +556,7 @@ int main(int argc, char** argv) {
                          TablePrinter::Fmt(m.Throughput(), 0),
                          TablePrinter::Fmt(m.AbortRatio(), 3),
                          TablePrinter::Fmt(m.cross_shard_committed),
-                         TablePrinter::Fmt(
-                             m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                         TablePrinter::Fmt(m.P99Ms(), 2)});
           bench::JsonLine("shard_scaling")
               .Field("name", rt::ProtocolName(protocol))
               .Field("shards", static_cast<int64_t>(shards))
@@ -575,11 +565,11 @@ int main(int argc, char** argv) {
               .Field("ns_per_op",
                      m.Throughput() > 0 ? 1e9 / m.Throughput() : 0.0)
               .Field("throughput", m.Throughput())
-              .Field("seconds", m.seconds)
+              .Field("seconds", m.run.seconds)
               .Field("abort_ratio", m.AbortRatio())
               .Field("retries", m.retries)
               .Field("cross_shard_committed", m.cross_shard_committed)
-              .Field("p99_ms", m.latency_ns.Percentile(0.99) / 1e6)
+              .Field("p99_ms", m.P99Ms())
               .Emit();
         }
       }

@@ -8,27 +8,7 @@
 // concurrency, most visibly when queues stay non-empty.
 #include "bench/bench_util.h"
 
-#include "src/adt/queue_adt.h"
-
 using namespace objectbase;  // NOLINT
-
-namespace {
-
-// Pre-loads each queue so dequeues rarely observe empty (an empty-queue
-// dequeue conflicts with every enqueue even at step granularity).
-void Prefill(rt::Executor& exec, const workload::QueueParams& p) {
-  for (int q = 0; q < p.queues; ++q) {
-    std::string name = "queue:" + std::to_string(q);
-    exec.RunTransaction("prefill", [&](rt::MethodCtx& txn) {
-      for (int64_t i = 0; i < p.prefill; ++i) {
-        txn.Invoke(name, "enqueue", {-1000 - i});
-      }
-      return Value();
-    });
-  }
-}
-
-}  // namespace
 
 int main() {
   bench::Banner("E2: queue step vs operation locking",
@@ -47,25 +27,23 @@ int main() {
         p.batch = 2;
         p.prefill = prefill;
         p.spin_per_op = 30000;  // long methods: blocking dominates mechanics
-        workload::WorkloadSpec spec = workload::MakeQueueSpec(p);
-        spec.threads = 8;
-        spec.txns_per_thread = 100 * scale;
-        spec.seed = 7 + queues;
+        workload::FsmWorkload w = workload::MakeQueueWorkload(p);
+        w.threads = 8;
+        w.iterations = 100 * scale;
 
         rt::ObjectBase base;
         workload::SetupQueues(base, p);
         rt::Executor exec(base, {.protocol = rt::Protocol::kN2pl,
                                  .granularity = g,
                                  .record = false});
-        Prefill(exec, p);
-        workload::RunMetrics m = workload::RunWorkload(exec, spec);
+        bench::MixRow m = bench::RunMix(exec, w, 7 + queues);
         table.AddRow(
             {TablePrinter::Fmt(int64_t{queues}), TablePrinter::Fmt(prefill),
              g == cc::Granularity::kOperation ? "operation" : "step",
              TablePrinter::Fmt(m.Throughput(), 0),
              TablePrinter::Fmt(m.AbortRatio(), 3),
              TablePrinter::Fmt(m.deadlocks),
-             TablePrinter::Fmt(m.latency_ns.Percentile(0.99) / 1e6, 2)});
+             TablePrinter::Fmt(m.P99Ms(), 2)});
         bench::JsonLine("queue_steps")
             .Field("name",
                    g == cc::Granularity::kOperation ? "operation" : "step")

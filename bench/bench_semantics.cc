@@ -26,21 +26,21 @@ int main() {
         p.read_fraction = 0.05;
         p.use_counters = counters;
         p.spin_per_op = 2000;
-        workload::WorkloadSpec spec = workload::MakeSemanticSpec(p);
-        spec.threads = threads;
-        spec.txns_per_thread = 150 * scale;
-        spec.seed = 11 + objects * threads;
-        workload::RunMetrics m = bench::RunOnce(
-            [&](rt::ObjectBase& base) { workload::SetupSemantic(base, p); },
-            spec, rt::Protocol::kN2pl, cc::Granularity::kStep);
+        rt::ObjectBase base;
+        workload::SetupSemantic(base, p);
+        rt::Executor exec(base,
+                          {.protocol = rt::Protocol::kN2pl, .record = false});
+        workload::FsmWorkload w = workload::MakeSemanticWorkload(p);
+        w.threads = threads;
+        w.iterations = 150 * scale;
+        bench::MixRow m = bench::RunMix(exec, w, 11 + objects * threads);
         table.AddRow({counters ? "semantic (counter)" : "read/write (register)",
                       TablePrinter::Fmt(int64_t{objects}),
                       TablePrinter::Fmt(int64_t{threads}),
                       TablePrinter::Fmt(m.Throughput(), 0),
                       TablePrinter::Fmt(m.AbortRatio(), 3),
                       TablePrinter::Fmt(m.deadlocks),
-                      TablePrinter::Fmt(
-                          m.latency_ns.Percentile(0.99) / 1e6, 2)});
+                      TablePrinter::Fmt(m.P99Ms(), 2)});
         bench::JsonLine("semantics")
             .Field("name", counters ? "counter" : "register")
             .Field("objects", objects)

@@ -7,10 +7,9 @@
 namespace objectbase::cc {
 
 NtoController::NtoController(rt::Recorder& recorder, Granularity granularity,
-                             bool gc_enabled, size_t fold_threshold)
+                             size_t fold_threshold)
     : recorder_(recorder),
       granularity_(granularity),
-      gc_enabled_(gc_enabled && fold_threshold != 0),
       fold_threshold_(fold_threshold) {}
 
 void NtoController::OnTopBegin(rt::TxnNode& top) {
@@ -48,7 +47,7 @@ OpOutcome NtoController::ExecuteLocal(rt::TxnNode& txn, rt::Object& obj,
   if (deps_.IsDoomed(my_ref)) {
     return OpOutcome::Abort(AbortReason::kDoomed);
   }
-  if (gc_enabled_) MaybeGc(obj, deps_, fold_threshold_);
+  if (fold_threshold_ != 0) MaybeGc(obj, deps_, fold_threshold_);
 
   const std::vector<uint64_t>& chain = txn.AncestorChain();
   const Hts& my_hts = txn.hts();

@@ -18,8 +18,8 @@
 //
 // Garbage collection (Section 5.2's "mechanism to forget"): entries whose
 // top-level serial number precedes every active transaction's are retired
-// (the active-watermark scheme in the text).  Disable with gc_enabled=false
-// to measure the memory cost (experiment E8).
+// (the active-watermark scheme in the text).  A journal fold threshold of 0
+// disables it, to measure the memory cost (experiment E8).
 //
 // Recovery note (DESIGN.md substitution): Reed's system is multiversion;
 // with our immediate updates an abort must cascade to transactions that
@@ -40,11 +40,11 @@ namespace objectbase::cc {
 class NtoController : public Controller {
  public:
   /// `fold_threshold` is the journal-GC cadence: fold once the journal
-  /// reaches it, every threshold/2 entries after.  0 disables folding, as
-  /// does gc_enabled=false (the E8 ablation) — tests use it to pin the
-  /// zero-journal-mutex steady state.
+  /// reaches it, every threshold/2 entries after.  0 disables folding (the
+  /// E8 ablation) — tests also use it to pin the zero-journal-mutex steady
+  /// state.
   NtoController(rt::Recorder& recorder, Granularity granularity,
-                bool gc_enabled = true, size_t fold_threshold = 64);
+                size_t fold_threshold = 64);
 
   const char* name() const override { return "NTO"; }
 
@@ -68,8 +68,7 @@ class NtoController : public Controller {
  private:
   rt::Recorder& recorder_;
   Granularity granularity_;
-  bool gc_enabled_;
-  size_t fold_threshold_;
+  size_t fold_threshold_;  ///< 0: never fold.
   DependencyGraph deps_;
 };
 

@@ -1,9 +1,9 @@
 #include "src/workload/fsm.h"
 
 #include <cmath>
+#include <condition_variable>
 #include <utility>
 
-#include "src/common/stats.h"
 #include "src/runtime/branch_pool.h"
 
 namespace objectbase::workload {
@@ -77,10 +77,10 @@ void FsmCheckCtx::Fail(const std::string& message) {
 
 void FsmRunner::Walk(const std::vector<const FsmWorkload*>& workloads,
                      const std::vector<std::vector<std::string>>& txn_names,
-                     const WalkerPlan& plan, FsmRunResult& result,
+                     const WalkerPlan& plan, const Stopwatch& clock,
+                     uint64_t& last_done_ns, FsmRunResult& result,
                      std::mutex& result_mu, std::mutex& failure_mu) {
-  // Same walker-seed recipe as the fixed-loop runner: reproducible per
-  // (seed, walker), independent streams across walkers.
+  // Reproducible per (seed, walker), independent streams across walkers.
   Rng rng(opts_.seed * 1315423911ull +
           static_cast<uint64_t>(plan.walker_id) * 2654435761ull + 1);
   // One FSM cursor per workload the walker interleaves (indexed by global
@@ -91,6 +91,7 @@ void FsmRunner::Walk(const std::vector<const FsmWorkload*>& workloads,
   }
 
   uint64_t visits = 0, committed = 0, gave_up = 0, checks_run = 0;
+  Histogram latency_ns;
   std::vector<FsmTraceEntry> trace;
   if (opts_.collect_traces) {
     trace.reserve(static_cast<size_t>(plan.iterations));
@@ -109,7 +110,9 @@ void FsmRunner::Walk(const std::vector<const FsmWorkload*>& workloads,
 
     Rng check_rng = rng.Fork();  // forked whether or not the visit commits
     rt::MethodFn body = st.make(rng);
+    Stopwatch txn_clock;
     rt::TxnResult r = exec_.RunTransaction(txn_names[wi][si], body);
+    latency_ns.Record(txn_clock.ElapsedNanos());
 
     ++visits;
     if (r.committed) {
@@ -127,7 +130,11 @@ void FsmRunner::Walk(const std::vector<const FsmWorkload*>& workloads,
     cursor[wi] = static_cast<uint32_t>(rng.WeightedIndex(w.transitions[si]));
   }
 
+  // Stamp completion BEFORE waiting for the serialised merge.
+  const uint64_t done = clock.ElapsedNanos();
   std::lock_guard<std::mutex> g(result_mu);
+  if (done > last_done_ns) last_done_ns = done;
+  result.latency_ns.Merge(latency_ns);
   result.visits += visits;
   result.committed += committed;
   result.gave_up += gave_up;
@@ -137,23 +144,49 @@ void FsmRunner::Walk(const std::vector<const FsmWorkload*>& workloads,
   }
 }
 
-void FsmRunner::RunWalkerBatch(
+uint64_t FsmRunner::RunWalkerBatch(
     const std::vector<const FsmWorkload*>& workloads,
     const std::vector<std::vector<std::string>>& txn_names,
     const std::vector<WalkerPlan>& plans, FsmRunResult& result,
     std::mutex& result_mu, std::mutex& failure_mu) {
-  if (plans.empty()) return;
-  // Dedicated mode, like the fixed-loop runner: each task is a whole walk,
-  // so every walker needs a live pool thread and the dispatcher only waits.
+  if (plans.empty()) return 0;
+  // Start latch: walkers are dispatched first and parked; the clock starts
+  // only once every walker is ready, and stops at the LAST walker's final
+  // visit, so dispatch and the result merge are not charged to the run.
+  // The last walker to arrive releases the latch.
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  size_t ready = 0;
+  bool go = false;
+  Stopwatch clock;  // Reset just before release, under latch_mu.
+  uint64_t last_done_ns = 0;  // Guarded by result_mu.
+
+  // Dedicated mode: each task is a whole walk, so every walker needs a live
+  // pool thread (which also lets every task reach the latch) and the
+  // dispatcher only waits.
   rt::BranchPool& pool = exec_.branch_pool();
   pool.EnsureWorkers(plans.size());
   rt::BranchPool::Batch batch(pool);
   for (const WalkerPlan& plan : plans) {
     batch.Add(rt::BranchPool::kAnyShard, [&, plan](bool /*on_caller*/) {
-      Walk(workloads, txn_names, plan, result, result_mu, failure_mu);
+      {
+        std::unique_lock<std::mutex> l(latch_mu);
+        if (++ready == plans.size()) {
+          clock.Reset();
+          go = true;
+          latch_cv.notify_all();
+        } else {
+          latch_cv.wait(l, [&] { return go; });
+        }
+      }
+      Walk(workloads, txn_names, plan, clock, last_done_ns, result, result_mu,
+           failure_mu);
     });
   }
+  // Never inline a walker on the dispatching thread: it would park behind
+  // the latch with the batch only partially dispatched.
   batch.RunAndWait(/*caller_inline=*/false);
+  return last_done_ns;
 }
 
 FsmRunResult FsmRunner::Run(
@@ -229,20 +262,16 @@ FsmRunResult FsmRunner::Run(
       while (cursor < plans.size() && plans[cursor].workloads[0] == wi) {
         mine.push_back(plans[cursor++]);
       }
-      Stopwatch clock;
-      RunWalkerBatch(workloads, txn_names, mine, result, result_mu,
-                     failure_mu);
-      walk_ns += clock.ElapsedNanos();
+      walk_ns += RunWalkerBatch(workloads, txn_names, mine, result,
+                                result_mu, failure_mu);
       run_teardown(*workloads[wi]);
     }
   } else {
     for (const FsmWorkload* w : workloads) {
       if (w->setup) w->setup(exec_);
     }
-    Stopwatch clock;
-    RunWalkerBatch(workloads, txn_names, plans, result, result_mu,
-                   failure_mu);
-    walk_ns += clock.ElapsedNanos();
+    walk_ns += RunWalkerBatch(workloads, txn_names, plans, result, result_mu,
+                              failure_mu);
     for (const FsmWorkload* w : workloads) run_teardown(*w);
   }
   result.seconds = walk_ns / 1e9;

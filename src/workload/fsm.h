@@ -1,11 +1,12 @@
-// FSM-composed workloads: scenario coverage as finite-state machines.
+// FSM workloads: the one workload runner, for flat mixes and scenarios alike.
 //
-// The fixed-loop generators (generators.h) each drive ONE transaction mix
-// with static weights.  This framework instead describes a workload as a
-// finite-state machine in the style of MongoDB's FSM concurrency-testing
-// framework (SNIPPETS.md Snippet 3): named states — each a transaction body
-// factory plus an optional post-commit invariant check — connected by a
-// row-stochastic transition table, walked by per-thread seeded walkers.
+// A workload is a finite-state machine in the style of MongoDB's FSM
+// concurrency-testing framework (SNIPPETS.md Snippet 3): named states — each
+// a transaction body factory plus an optional post-commit invariant check —
+// connected by a row-stochastic transition table, walked by per-thread
+// seeded walkers.  A flat weighted mix (generators.h) is the special case
+// whose transition rows are all equal: one state per transaction type, every
+// row the normalised weights, so each visit is an independent weighted pick.
 //
 // The runner provides three execution modes:
 //   * serial   — workloads run one after another, each on its own walker
@@ -37,16 +38,17 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/runtime/executor.h"
 
 namespace objectbase::workload {
 
 class FsmCheckCtx;
 
-/// One state of an FSM workload: a transaction body factory (same contract
-/// as TxnTemplate::make — sample parameters from the Rng NOW, capture them
-/// by value, never reference the Rng from the returned body) plus an
-/// optional post-commit invariant check.
+/// One state of an FSM workload: a transaction body factory (sample the
+/// transaction's parameters from the Rng NOW, capture them by value, never
+/// reference the Rng from the returned body) plus an optional post-commit
+/// invariant check.
 struct FsmState {
   std::string name;
   std::function<rt::MethodFn(Rng&)> make;
@@ -125,8 +127,13 @@ struct FsmRunResult {
   /// Per-walker traces (indexed by global walker id); filled only when
   /// FsmRunOptions::collect_traces.
   std::vector<std::vector<FsmTraceEntry>> traces;
-  /// Wall clock spent inside walker batches (setup/teardown excluded).
+  /// Wall clock of the walker batches, each timed from the start latch's
+  /// release (every walker ready) to its last walker's final visit: setup,
+  /// teardown, walker dispatch and result merging are excluded.
   double seconds = 0;
+  /// Per-visit wall time of Executor::RunTransaction (retries included),
+  /// one sample per visit, committed or not.
+  Histogram latency_ns;
 
   bool ok() const { return failures.empty(); }
   double VisitsPerSecond() const { return seconds > 0 ? visits / seconds : 0; }
@@ -167,8 +174,8 @@ class FsmCheckCtx {
 };
 
 /// Runs FSM workloads against one executor.  The runner owns no threads of
-/// its own: walkers are dispatched on the executor's BranchPool in the
-/// workload runner's dedicated mode (one whole-walk task per walker).
+/// its own: walkers are dispatched on the executor's BranchPool in dedicated
+/// mode (one whole-walk task per walker).
 class FsmRunner {
  public:
   FsmRunner(rt::Executor& exec, FsmRunOptions opts = {})
@@ -188,13 +195,16 @@ class FsmRunner {
 
   void Walk(const std::vector<const FsmWorkload*>& workloads,
             const std::vector<std::vector<std::string>>& txn_names,
-            const WalkerPlan& plan, FsmRunResult& result,
+            const WalkerPlan& plan, const Stopwatch& clock,
+            uint64_t& last_done_ns, FsmRunResult& result,
             std::mutex& result_mu, std::mutex& failure_mu);
-  void RunWalkerBatch(const std::vector<const FsmWorkload*>& workloads,
-                      const std::vector<std::vector<std::string>>& txn_names,
-                      const std::vector<WalkerPlan>& plans,
-                      FsmRunResult& result, std::mutex& result_mu,
-                      std::mutex& failure_mu);
+  /// Runs one walker per plan and returns the nanoseconds from the start
+  /// latch's release to the last walker's completion.
+  uint64_t RunWalkerBatch(
+      const std::vector<const FsmWorkload*>& workloads,
+      const std::vector<std::vector<std::string>>& txn_names,
+      const std::vector<WalkerPlan>& plans, FsmRunResult& result,
+      std::mutex& result_mu, std::mutex& failure_mu);
 
   rt::Executor& exec_;
   FsmRunOptions opts_;

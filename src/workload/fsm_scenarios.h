@@ -1,4 +1,4 @@
-// The three seeded FSM scenarios — the structural workloads the fixed-loop
+// The three seeded FSM scenarios — the structural workloads the flat-mix
 // generators never covered (ROADMAP "FSM-composed workload framework"):
 //
 //   * secondary-index maintenance: a BTreeDictionary catalogue and a Set

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <utility>
 
 #include "src/adt/bank_account_adt.h"
 #include "src/adt/btree_dictionary_adt.h"
@@ -10,12 +11,18 @@
 #include "src/adt/register_adt.h"
 
 // Every generator follows the resolve-once/execute-many discipline: the
-// spec's `prepare` hook (run once per executor, before the workers start)
+// workload's `setup` hook (run once per run, before the walkers start)
 // resolves the MethodRefs the transaction bodies will use, so the per-step
 // hot path of the offered load touches no string maps — names only appear
 // at setup time.
 
 namespace objectbase::workload {
+
+void SpinWork(int iters) {
+  volatile uint64_t sink = 0;
+  for (int i = 0; i < iters; ++i) sink = sink + i;
+}
+
 namespace {
 
 std::string AccountName(int i) { return "acct:" + std::to_string(i); }
@@ -23,6 +30,22 @@ std::string BranchName(int i) { return "branch:" + std::to_string(i); }
 std::string QueueName(int i) { return "queue:" + std::to_string(i); }
 std::string ObjName(const char* prefix, int i) {
   return std::string(prefix) + ":" + std::to_string(i);
+}
+
+// Makes `w` a flat mix: states[i] is picked with probability proportional
+// to weights[i] on every visit, whatever state the walker is in.  States of
+// weight zero are dropped, since a walk always starts in state 0.
+void SetFlatRows(FsmWorkload& w, const std::vector<double>& weights) {
+  std::vector<FsmState> states;
+  std::vector<double> row;
+  for (size_t i = 0; i < w.states.size(); ++i) {
+    if (weights[i] <= 0) continue;
+    states.push_back(std::move(w.states[i]));
+    row.push_back(weights[i]);
+  }
+  w.states = std::move(states);
+  w.transitions.assign(w.states.size(), row);
+  NormalizeTransitionRows(w.transitions);
 }
 
 }  // namespace
@@ -44,21 +67,23 @@ struct BankingHandles {
   std::vector<rt::MethodRef> deposit;
   std::vector<rt::MethodRef> balance;
   std::vector<rt::MethodRef> branch_add;
+  std::vector<rt::MethodRef> branch_get;
 };
 }  // namespace
 
-WorkloadSpec MakeBankingSpec(const BankingParams& p) {
-  WorkloadSpec spec;
-  spec.name = "banking";
+FsmWorkload MakeBankingWorkload(const BankingParams& p) {
+  FsmWorkload w;
+  w.name = "banking";
   auto zipf = std::make_shared<ZipfGenerator>(p.accounts, p.theta);
   const BankingParams params = p;
   auto handles = std::make_shared<BankingHandles>();
 
-  spec.prepare = [params, handles](rt::Executor& exec) {
+  w.setup = [params, handles](rt::Executor& exec) {
     handles->withdraw.clear();
     handles->deposit.clear();
     handles->balance.clear();
     handles->branch_add.clear();
+    handles->branch_get.clear();
     for (int i = 0; i < params.accounts; ++i) {
       rt::ObjectHandle acct = exec.FindObject(AccountName(i));
       handles->withdraw.push_back(exec.Resolve(acct, "withdraw"));
@@ -66,13 +91,14 @@ WorkloadSpec MakeBankingSpec(const BankingParams& p) {
       handles->balance.push_back(exec.Resolve(acct, "balance"));
     }
     for (int i = 0; i < params.branches; ++i) {
-      handles->branch_add.push_back(exec.Resolve(BranchName(i), "add"));
+      rt::ObjectHandle branch = exec.FindObject(BranchName(i));
+      handles->branch_add.push_back(exec.Resolve(branch, "add"));
+      handles->branch_get.push_back(exec.Resolve(branch, "get"));
     }
   };
 
-  TxnTemplate transfer;
+  FsmState transfer;
   transfer.name = "transfer";
-  transfer.weight = 1.0 - p.audit_weight;
   transfer.make = [params, zipf, handles](Rng& rng) -> rt::MethodFn {
     int from = static_cast<int>(zipf->Next(rng));
     int to = static_cast<int>(zipf->Next(rng));
@@ -85,45 +111,58 @@ WorkloadSpec MakeBankingSpec(const BankingParams& p) {
       Value ok = txn.Invoke(handles->withdraw[from], {amount});
       SpinWork(params.spin_per_op);
       if (!ok.AsBool()) return Value(false);  // insufficient funds: no-op txn
-      if (params.parallel_transfer) {
-        txn.InvokeParallel(std::vector<rt::MethodCtx::BoundCall>{
-            {handles->deposit[to], {amount}},
-            {handles->branch_add[branch_from], {-amount}},
-            {handles->branch_add[branch_to], {amount}},
-        });
-      } else {
-        txn.Invoke(handles->deposit[to], {amount});
-        SpinWork(params.spin_per_op);
-        txn.Invoke(handles->branch_add[branch_from], {-amount});
-        txn.Invoke(handles->branch_add[branch_to], {amount});
-        SpinWork(params.spin_per_op);
-      }
+      txn.Invoke(handles->deposit[to], {amount});
+      SpinWork(params.spin_per_op);
+      txn.Invoke(handles->branch_add[branch_from], {-amount});
+      txn.Invoke(handles->branch_add[branch_to], {amount});
+      SpinWork(params.spin_per_op);
       return Value(true);
     };
   };
-  spec.mix.push_back(std::move(transfer));
 
-  if (p.audit_weight > 0) {
-    TxnTemplate audit;
-    audit.name = "audit";
-    audit.weight = p.audit_weight;
-    audit.make = [params, zipf, handles](Rng& rng) -> rt::MethodFn {
-      std::vector<int> targets;
-      for (int i = 0; i < params.audit_scan; ++i) {
-        targets.push_back(static_cast<int>(zipf->Next(rng)));
+  FsmState audit;
+  audit.name = "audit";
+  audit.make = [params, zipf, handles](Rng& rng) -> rt::MethodFn {
+    std::vector<int> targets;
+    for (int i = 0; i < params.audit_scan; ++i) {
+      targets.push_back(static_cast<int>(zipf->Next(rng)));
+    }
+    return [params, handles, targets](rt::MethodCtx& txn) -> Value {
+      int64_t sum = 0;
+      for (int t : targets) {
+        sum += txn.Invoke(handles->balance[t]).AsInt();
+        SpinWork(params.spin_per_op);
       }
-      return [params, handles, targets](rt::MethodCtx& txn) -> Value {
-        int64_t sum = 0;
-        for (int t : targets) {
-          sum += txn.Invoke(handles->balance[t]).AsInt();
-          SpinWork(params.spin_per_op);
-        }
-        return Value(sum);
-      };
+      return Value(sum);
     };
-    spec.mix.push_back(std::move(audit));
-  }
-  return spec;
+  };
+
+  w.states = {std::move(transfer), std::move(audit)};
+  SetFlatRows(w, {1.0 - p.audit_weight, p.audit_weight});
+
+  // Money is conserved: each transfer debits one account, credits another
+  // and moves the amount through the branch counters with net zero.
+  w.teardown = [params, handles](FsmCheckCtx& ctx) {
+    rt::TxnResult r = ctx.exec().RunTransaction(
+        "banking/conservation", [handles](rt::MethodCtx& txn) -> Value {
+          int64_t total = 0;
+          for (const rt::MethodRef& m : handles->balance) {
+            total += txn.Invoke(m).AsInt();
+          }
+          for (const rt::MethodRef& m : handles->branch_get) {
+            total += txn.Invoke(m).AsInt();
+          }
+          return Value(total);
+        });
+    const int64_t expected = params.initial * params.accounts;
+    if (!r.committed) {
+      ctx.Fail("conservation audit did not commit");
+    } else if (r.ret.AsInt() != expected) {
+      ctx.Fail("accounts + branches sum to " + std::to_string(r.ret.AsInt()) +
+               ", expected " + std::to_string(expected));
+    }
+  };
+  return w;
 }
 
 // --- Queue pipeline ----------------------------------------------------------
@@ -141,16 +180,16 @@ struct QueueHandles {
 };
 }  // namespace
 
-WorkloadSpec MakeQueueSpec(const QueueParams& p) {
-  WorkloadSpec spec;
-  spec.name = "queue-pipeline";
+FsmWorkload MakeQueueWorkload(const QueueParams& p) {
+  FsmWorkload w;
+  w.name = "queue-pipeline";
   const QueueParams params = p;
   // A global tag source keeps enqueued values distinct, which is what lets
   // step-granularity conflict tests tell items apart.
   auto tag = std::make_shared<std::atomic<int64_t>>(1'000'000);
   auto handles = std::make_shared<QueueHandles>();
 
-  spec.prepare = [params, handles](rt::Executor& exec) {
+  w.setup = [params, handles](rt::Executor& exec) {
     handles->enqueue.clear();
     handles->dequeue.clear();
     for (int i = 0; i < params.queues; ++i) {
@@ -158,11 +197,22 @@ WorkloadSpec MakeQueueSpec(const QueueParams& p) {
       handles->enqueue.push_back(exec.Resolve(q, "enqueue"));
       handles->dequeue.push_back(exec.Resolve(q, "dequeue"));
     }
+    // Prefill every queue (an empty-queue dequeue conflicts with every
+    // enqueue even at step granularity).  Prefilled items are negative, so
+    // they never collide with the producers' tags.
+    for (const rt::MethodRef& enqueue : handles->enqueue) {
+      exec.RunTransaction("queue-pipeline/prefill",
+                          [params, enqueue](rt::MethodCtx& txn) -> Value {
+                            for (int64_t i = 0; i < params.prefill; ++i) {
+                              txn.Invoke(enqueue, {-1 - i});
+                            }
+                            return Value();
+                          });
+    }
   };
 
-  TxnTemplate producer;
+  FsmState producer;
   producer.name = "produce";
-  producer.weight = p.producer_weight;
   producer.make = [params, tag, handles](Rng& rng) -> rt::MethodFn {
     int q = static_cast<int>(rng.Uniform(params.queues));
     int64_t base_tag = tag->fetch_add(params.batch);
@@ -174,11 +224,9 @@ WorkloadSpec MakeQueueSpec(const QueueParams& p) {
       return Value(static_cast<int64_t>(params.batch));
     };
   };
-  spec.mix.push_back(std::move(producer));
 
-  TxnTemplate consumer;
+  FsmState consumer;
   consumer.name = "consume";
-  consumer.weight = p.consumer_weight;
   consumer.make = [params, handles](Rng& rng) -> rt::MethodFn {
     int q = static_cast<int>(rng.Uniform(params.queues));
     return [params, handles, q](rt::MethodCtx& txn) -> Value {
@@ -191,8 +239,10 @@ WorkloadSpec MakeQueueSpec(const QueueParams& p) {
       return Value(got);
     };
   };
-  spec.mix.push_back(std::move(consumer));
-  return spec;
+
+  w.states = {std::move(producer), std::move(consumer)};
+  SetFlatRows(w, {p.producer_weight, p.consumer_weight});
+  return w;
 }
 
 // --- Semantic ADTs -------------------------------------------------------------
@@ -214,13 +264,13 @@ struct SemanticHandles {
 };
 }  // namespace
 
-WorkloadSpec MakeSemanticSpec(const SemanticParams& p) {
-  WorkloadSpec spec;
-  spec.name = p.use_counters ? "semantic-counters" : "rw-registers";
+FsmWorkload MakeSemanticWorkload(const SemanticParams& p) {
+  FsmWorkload w;
+  w.name = p.use_counters ? "semantic-counters" : "rw-registers";
   const SemanticParams params = p;
   auto handles = std::make_shared<SemanticHandles>();
 
-  spec.prepare = [params, handles](rt::Executor& exec) {
+  w.setup = [params, handles](rt::Executor& exec) {
     handles->update.clear();
     handles->read.clear();
     for (int i = 0; i < params.objects; ++i) {
@@ -232,9 +282,8 @@ WorkloadSpec MakeSemanticSpec(const SemanticParams& p) {
     }
   };
 
-  TxnTemplate update;
+  FsmState update;
   update.name = "bump";
-  update.weight = 1.0 - p.read_fraction;
   update.make = [params, handles](Rng& rng) -> rt::MethodFn {
     std::vector<std::pair<int, int64_t>> ops;
     for (int i = 0; i < params.ops_per_txn; ++i) {
@@ -258,21 +307,19 @@ WorkloadSpec MakeSemanticSpec(const SemanticParams& p) {
       return Value();
     };
   };
-  spec.mix.push_back(std::move(update));
 
-  if (p.read_fraction > 0) {
-    TxnTemplate read;
-    read.name = "read";
-    read.weight = p.read_fraction;
-    read.make = [params, handles](Rng& rng) -> rt::MethodFn {
-      int obj = static_cast<int>(rng.Uniform(params.objects));
-      return [handles, obj](rt::MethodCtx& txn) -> Value {
-        return txn.Invoke(handles->read[obj]);
-      };
+  FsmState read;
+  read.name = "read";
+  read.make = [params, handles](Rng& rng) -> rt::MethodFn {
+    int obj = static_cast<int>(rng.Uniform(params.objects));
+    return [handles, obj](rt::MethodCtx& txn) -> Value {
+      return txn.Invoke(handles->read[obj]);
     };
-    spec.mix.push_back(std::move(read));
-  }
-  return spec;
+  };
+
+  w.states = {std::move(update), std::move(read)};
+  SetFlatRows(w, {1.0 - p.read_fraction, p.read_fraction});
+  return w;
 }
 
 // --- Nested fan-out -------------------------------------------------------------
@@ -291,16 +338,16 @@ struct FanoutHandles {
 };
 }  // namespace
 
-WorkloadSpec MakeFanoutSpec(const FanoutParams& p) {
-  WorkloadSpec spec;
-  spec.name = "nested-fanout";
+FsmWorkload MakeFanoutWorkload(const FanoutParams& p) {
+  FsmWorkload w;
+  w.name = "nested-fanout";
   const FanoutParams params = p;
   auto handles = std::make_shared<FanoutHandles>();
 
   // Register a "heavy" method on every shard: work_per_child local adds
   // interleaved with spin (a long-running method body, Section 1(b)).  The
   // add operation is resolved to its descriptor once, outside the body.
-  spec.prepare = [params, handles](rt::Executor& exec) {
+  w.setup = [params, handles](rt::Executor& exec) {
     handles->heavy.clear();
     // Every shard object Setup created gets a body and a handle (the old
     // fixed 64-thread cap could leave high shards uncovered when
@@ -313,7 +360,7 @@ WorkloadSpec MakeFanoutSpec(const FanoutParams& p) {
       const bool defined =
           exec.DefineMethod(name, "heavy",
                             [params, add](rt::MethodCtx& m) -> Value {
-                              for (int w = 0; w < params.work_per_child; ++w) {
+                              for (int k = 0; k < params.work_per_child; ++k) {
                                 m.Local(*add, {int64_t{1}});
                                 SpinWork(params.spin_per_op);
                               }
@@ -324,9 +371,8 @@ WorkloadSpec MakeFanoutSpec(const FanoutParams& p) {
     }
   };
 
-  TxnTemplate txn;
+  FsmState txn;
   txn.name = "fanout";
-  txn.weight = 1.0;
   txn.make = [params, handles](Rng& rng) -> rt::MethodFn {
     // Each branch works on its own shard: no contention, pure parallelism.
     int64_t shard_base = static_cast<int64_t>(
@@ -347,8 +393,9 @@ WorkloadSpec MakeFanoutSpec(const FanoutParams& p) {
       return Value();
     };
   };
-  spec.mix.push_back(std::move(txn));
-  return spec;
+  w.states = {std::move(txn)};
+  SetFlatRows(w, {1.0});
+  return w;
 }
 
 // --- Dictionary mix ---------------------------------------------------------------
@@ -365,35 +412,40 @@ struct DictionaryHandles {
   std::vector<rt::MethodRef> get;
   std::vector<rt::MethodRef> put;
   std::vector<rt::MethodRef> del;
+  std::vector<rt::MethodRef> count;
   rt::MethodRef total_add;
+  rt::MethodRef total_get;
 };
 }  // namespace
 
-WorkloadSpec MakeDictionarySpec(const DictionaryParams& p) {
-  WorkloadSpec spec;
-  spec.name = "dictionary-mix";
+FsmWorkload MakeDictionaryWorkload(const DictionaryParams& p) {
+  FsmWorkload w;
+  w.name = "dictionary-mix";
   const DictionaryParams params = p;
   auto zipf = std::make_shared<ZipfGenerator>(p.keyspace, p.theta);
   double total =
       params.get_weight + params.put_weight + params.del_weight;
   auto handles = std::make_shared<DictionaryHandles>();
 
-  spec.prepare = [params, handles](rt::Executor& exec) {
+  w.setup = [params, handles](rt::Executor& exec) {
     handles->get.clear();
     handles->put.clear();
     handles->del.clear();
+    handles->count.clear();
     for (int i = 0; i < params.dicts; ++i) {
       rt::ObjectHandle dict = exec.FindObject(ObjName("dict", i));
       handles->get.push_back(exec.Resolve(dict, "get"));
       handles->put.push_back(exec.Resolve(dict, "put"));
       handles->del.push_back(exec.Resolve(dict, "del"));
+      handles->count.push_back(exec.Resolve(dict, "count"));
     }
-    handles->total_add = exec.Resolve("dict-total", "add");
+    rt::ObjectHandle dict_total = exec.FindObject("dict-total");
+    handles->total_add = exec.Resolve(dict_total, "add");
+    handles->total_get = exec.Resolve(dict_total, "get");
   };
 
-  TxnTemplate mixed;
+  FsmState mixed;
   mixed.name = "dict-ops";
-  mixed.weight = 1.0;
   mixed.make = [params, zipf, total, handles](Rng& rng) -> rt::MethodFn {
     struct Op {
       int dict;
@@ -429,8 +481,30 @@ WorkloadSpec MakeDictionarySpec(const DictionaryParams& p) {
       return Value();
     };
   };
-  spec.mix.push_back(std::move(mixed));
-  return spec;
+  w.states = {std::move(mixed)};
+  SetFlatRows(w, {1.0});
+
+  // "dict-total" tracks the number of entries across the dictionaries.
+  w.teardown = [handles](FsmCheckCtx& ctx) {
+    int64_t counted = 0;
+    int64_t entries = 0;
+    rt::TxnResult r = ctx.exec().RunTransaction(
+        "dictionary-mix/total", [&](rt::MethodCtx& txn) -> Value {
+          counted = txn.Invoke(handles->total_get).AsInt();
+          entries = 0;
+          for (const rt::MethodRef& m : handles->count) {
+            entries += txn.Invoke(m).AsInt();
+          }
+          return Value();
+        });
+    if (!r.committed) {
+      ctx.Fail("total audit did not commit");
+    } else if (counted != entries) {
+      ctx.Fail("dict-total reads " + std::to_string(counted) + " but the " +
+               "dictionaries hold " + std::to_string(entries) + " entries");
+    }
+  };
+  return w;
 }
 
 }  // namespace objectbase::workload

@@ -12,7 +12,6 @@
 #include "src/adt/set_adt.h"
 #include "src/runtime/executor.h"
 #include "src/workload/generators.h"
-#include "src/workload/spec.h"
 
 namespace objectbase::rt {
 namespace {
@@ -206,10 +205,11 @@ TEST(HandlesTest, ParallelBoundCalls) {
 
 // --- the acceptance invariant ---------------------------------------------
 
-// After `prepare`, the per-step path of the offered workload performs NO
+// After `setup`, the per-step path of the offered workload performs NO
 // name lookups at all: neither ObjectBase::Find nor AdtSpec::FindOp fires
-// while transactions execute through interned handles.  This is the
-// assertion form of the "string-free steady state" acceptance criterion.
+// while the runner's walkers (and the teardown audit) execute through
+// interned handles.  This is the assertion form of the "string-free steady
+// state" acceptance criterion.
 void RunLookupFreeSteadyState(Protocol protocol) {
   workload::BankingParams p;
   p.accounts = 8;
@@ -220,20 +220,19 @@ void RunLookupFreeSteadyState(Protocol protocol) {
   ObjectBase base;
   workload::SetupBanking(base, p);
   Executor exec(base, {.protocol = protocol, .record = true});
-  workload::WorkloadSpec spec = workload::MakeBankingSpec(p);
-  ASSERT_TRUE(static_cast<bool>(spec.prepare));
-  spec.prepare(exec);  // resolve-once: all handle resolution happens here
+  workload::FsmWorkload w = workload::MakeBankingWorkload(p);
+  ASSERT_TRUE(static_cast<bool>(w.setup));
+  w.setup(exec);  // resolve-once: all handle resolution happens here
+  w.setup = nullptr;
+  w.threads = 2;
+  w.iterations = 40;
 
   const uint64_t find_before = ObjectFindCalls().load();
   const uint64_t op_before = adt::FindOpCalls().load();
-  Rng rng(7);
-  for (int i = 0; i < 40; ++i) {
-    for (const workload::TxnTemplate& tmpl : spec.mix) {
-      MethodFn body = tmpl.make(rng);
-      exec.RunTransaction(tmpl.name, std::move(body));
-    }
-  }
-  EXPECT_GT(exec.stats().committed.load(), 0u);
+  workload::FsmRunner runner(exec, {.mode = workload::FsmMode::kParallel});
+  workload::FsmRunResult res = runner.Run({&w});
+  EXPECT_TRUE(res.ok());
+  EXPECT_GT(res.committed, 0u);
   EXPECT_EQ(ObjectFindCalls().load(), find_before)
       << ProtocolName(protocol) << " resolved an object by name per step";
   EXPECT_EQ(adt::FindOpCalls().load(), op_before)

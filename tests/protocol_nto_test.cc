@@ -73,7 +73,7 @@ TEST(NtoProtocolTest, LateConflictingStepIsRejected) {
 TEST(NtoProtocolTest, WatermarkGcBoundsRememberedSteps) {
   ObjectBase base;
   base.CreateObject("c", adt::MakeCounterSpec(0));
-  Executor exec(base, {.protocol = kP, .record = false, .nto_gc = true});
+  Executor exec(base, {.protocol = kP, .record = false});
   for (int i = 0; i < 2000; ++i) {
     exec.RunTransaction("t", [](MethodCtx& txn) {
       txn.Invoke("c", "add", {1});
@@ -90,7 +90,9 @@ TEST(NtoProtocolTest, WatermarkGcBoundsRememberedSteps) {
 TEST(NtoProtocolTest, WithoutGcRememberedStepsGrow) {
   ObjectBase base;
   base.CreateObject("c", adt::MakeCounterSpec(0));
-  Executor exec(base, {.protocol = kP, .record = false, .nto_gc = false});
+  Executor exec(base, {.protocol = kP,
+                       .record = false,
+                       .journal_fold_threshold = 0});
   for (int i = 0; i < 500; ++i) {
     exec.RunTransaction("t", [](MethodCtx& txn) {
       txn.Invoke("c", "add", {1});

@@ -208,10 +208,10 @@ void RunFuzzRound(uint64_t seed) {
   base.CreateObject("q", adt::MakeQueueSpec());
   base.CreateObject("acct", adt::MakeBankAccountSpec(500));
   if (with_btree) base.CreateObject("dict", adt::MakeBTreeDictionarySpec(8));
+  (void)rng.Bernoulli(0.8);  // retired draw, kept so pinned seeds replay
   Executor exec(base, {.protocol = protocol,
                        .granularity = granularity,
                        .max_top_retries = 50,
-                       .nto_gc = rng.Bernoulli(0.8),
                        .journal_fold_threshold = fold_threshold});
   if (protocol == Protocol::kMixed) {
     const cc::IntraPolicy policies[] = {cc::IntraPolicy::kLocal2pl,
